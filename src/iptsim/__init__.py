@@ -19,12 +19,12 @@ from .telemetry import (FaultSet, MotorState, ProximityParams, Thresholds,
                         classify_faults, decode_frame, encode_frame,
                         encode_poll, proximity_pulses, render_display,
                         speed_from_pulses)
-from .usart import (BaudRateGenerator, UsartConfig, UsartRx, UsartTx,
-                    actual_baud, brg_divisor, frame_encode)
+from .usart import (UsartConfig, UsartRx, UsartTx, actual_baud, brg_divisor,
+                    frame_encode)
 from .waveform import Waveform, as_bits
 
 __all__ = [
-    "BaudRateGenerator", "CoilPair", "ConfigError", "FaultSet", "LinkParams",
+    "CoilPair", "ConfigError", "FaultSet", "LinkParams",
     "MaxRateResult", "MotorState", "NoFeasibleRateError", "ProximityParams",
     "RxParams", "ScenarioConfig", "ScenarioReport", "ScriptStep",
     "SweepResult", "Thresholds", "TraceRecord", "TxParams", "UsartConfig",

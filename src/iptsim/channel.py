@@ -48,7 +48,6 @@ class LinkParams:
     coils: CoilPair
     gap: float = 0.0        # m
     noise_rms: float = 0.0  # V
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.gap < 0:
@@ -101,41 +100,17 @@ def voltage_gain(link: LinkParams, carrier_freq: float, q_factor: float) -> floa
     return (m / link.coils.l_primary) * tank_gain(carrier_freq, link.coils, q_factor)
 
 
-def estimate_carrier(wave: Waveform) -> float | None:
-    """Dominant non-DC frequency of a waveform, or None if it is silent."""
-    x = wave.samples
-    if x.size == 0 or not np.any(x):
-        return None
-    n = min(x.size, 1 << 18)
-    spectrum = np.abs(np.fft.rfft(x[:n]))
-    spectrum[0] = 0.0
-    peak = int(np.argmax(spectrum))
-    if spectrum[peak] == 0.0:
-        return None
-    return peak * wave.sample_rate / n
-
-
 def propagate(tx: Waveform, link: LinkParams, q_factor: float,
-              carrier_freq: float | None = None) -> Waveform:
+              carrier_freq: float, noise_seed: int) -> Waveform:
     """Pass a drive waveform across the link.
 
     Output = tx scaled by the coupling-derived gain at the carrier, plus
-    seeded zero-mean Gaussian noise of RMS link.noise_rms.  Deterministic
-    for a fixed seed.  When carrier_freq is not given it is estimated from
-    the spectrum of tx.
+    zero-mean Gaussian noise of RMS link.noise_rms drawn from noise_seed.
     """
     if len(tx) == 0:
         raise ValueError("propagate requires a non-empty waveform")
-    if carrier_freq is None:
-        carrier_freq = estimate_carrier(tx)
-    if carrier_freq is None:
-        # Silent input: tank response is irrelevant, keep the coupling term.
-        k = coupling_coefficient(link.gap, link.coils)
-        gain = mutual_inductance(k, link.coils) / link.coils.l_primary
-    else:
-        gain = voltage_gain(link, carrier_freq, q_factor)
-    out = gain * tx.samples
+    out = voltage_gain(link, carrier_freq, q_factor) * tx.samples
     if link.noise_rms > 0:
-        rng = np.random.default_rng(link.rng_seed)
+        rng = np.random.default_rng(noise_seed)
         out = out + rng.normal(0.0, link.noise_rms, out.size)
     return Waveform(tx.sample_rate, out)

@@ -65,6 +65,8 @@ class ScenarioConfig:
             raise ConfigError("sim.q_factor must be positive")
         if self.poll_interval_s <= 0:
             raise ConfigError("sim.poll_interval_s must be positive")
+        if not 0 <= self.master_seed < 2 ** 64:
+            raise ConfigError("sim.master_seed must be in 0..2**64-1")
         times = [s.time_s for s in self.script]
         if not self.script or times != sorted(set(times)):
             raise ConfigError("script timestamps must be strictly increasing")
@@ -134,7 +136,7 @@ def _parse_value(key: str, raw: str):
         if key in _FLOAT_KEYS:
             return float(raw)
         if key in _INT_KEYS:
-            return int(float(raw))
+            return int(raw)
         if key in _BOOL_KEYS:
             if raw.lower() in ("true", "1", "yes"):
                 return True
@@ -235,8 +237,7 @@ def build_config(values: dict[str, object] | None = None,
     q_factor = need("sim.q_factor")
     calibration_gap = need("sim.calibration_gap")
 
-    quiet_link = LinkParams(coils=coils, gap=need("link.gap"),
-                            noise_rms=0.0, rng_seed=0)
+    quiet_link = LinkParams(coils=coils, gap=need("link.gap"))
 
     # Explicit noise pins the channel; snr_db is only kept when it is the
     # source of the noise figure (variants re-derive from it).
@@ -275,8 +276,7 @@ def build_config(values: dict[str, object] | None = None,
             nine_bit=merged["usart.nine_bit"],
         )
         link = LinkParams(coils=coils, gap=need("link.gap"),
-                          noise_rms=noise_rms,
-                          rng_seed=need("sim.master_seed"))
+                          noise_rms=noise_rms)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -342,7 +342,7 @@ def with_carrier(cfg: ScenarioConfig, carrier_freq: float) -> ScenarioConfig:
     coils = replace(cfg.link.coils,
                     c_tank=1.0 / ((2.0 * math.pi * carrier_freq) ** 2
                                   * cfg.link.coils.l_secondary))
-    quiet = LinkParams(coils=coils, gap=cfg.link.gap, noise_rms=0.0, rng_seed=0)
+    quiet = LinkParams(coils=coils, gap=cfg.link.gap)
     tx = replace(cfg.tx, carrier_freq=carrier_freq)
     rx = replace(cfg.rx,
                  hf_cutoff=derived_hf_cutoff(carrier_freq),

@@ -19,7 +19,7 @@ from .telemetry import (FaultSet, MotorState, POLL_FRAME_LEN, READING_FRAME_LEN,
                         classify_faults, encode_frame, encode_poll,
                         render_display, scan_frames,
                         MSG_FAULT_ALARM, MSG_POLL, MSG_READING)
-from .usart import UsartRx, frame_encode, nearest_spbrg
+from .usart import UsartRx, actual_baud, frame_encode
 
 
 class NoFeasibleRateError(RuntimeError):
@@ -91,18 +91,16 @@ def session_airtime_s(cfg: ScenarioConfig) -> float:
     return (poll_bits + reply_bits) / cfg.tx.bit_rate
 
 
-def _transmit(cfg: ScenarioConfig, frame_bytes: bytes,
-              noise_seed: int) -> tuple[list, int, int]:
-    """Send one frame through the full stack.
+def _send(cfg: ScenarioConfig, frame_bytes: bytes,
+          noise_seed: int) -> tuple[list, int, int]:
+    """Send framed bytes through the full stack.
 
     Returns (decoded frames found in the received byte stream, payload line
     bits sent, payload bit errors at the modem decision points).
     """
     line_bits = frame_line_bits(frame_bytes, cfg)
-    link = replace(cfg.link, rng_seed=noise_seed)
-    rx_machine = UsartRx(cfg.usart)
-    mids, received = run_line(line_bits, link, cfg.tx, cfg.rx, cfg.q_factor,
-                              noise_seed, usart_rx=rx_machine)
+    mids, received = run_line(line_bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor,
+                              noise_seed, usart_rx=UsartRx(cfg.usart))
     span = slice(IDLE_PREAMBLE_BITS, line_bits.size - IDLE_TAIL_BITS)
     errors = int(np.count_nonzero(mids[span] != line_bits[span]))
     payload = bytes(word & 0xFF for word, _ in received)
@@ -153,8 +151,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
         ])
 
         frames_sent += 1
-        found, nbits, nerr = _transmit(cfg, encode_poll(),
-                                       derive_seed(cfg.master_seed, 2 * sessions))
+        found, nbits, nerr = _send(cfg, encode_poll(),
+                                   derive_seed(cfg.master_seed, 2 * sessions))
         bits_sent += nbits
         bit_errors += nerr
         poll_ok = any(f.msg_type == MSG_POLL for f in found)
@@ -164,8 +162,8 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
             msg_type = MSG_FAULT_ALARM if new_bits else MSG_READING
             reply = encode_frame(state, faults, msg_type)
             frames_sent += 1
-            found, nbits, nerr = _transmit(cfg, reply,
-                                           derive_seed(cfg.master_seed, 2 * sessions + 1))
+            found, nbits, nerr = _send(cfg, reply,
+                                       derive_seed(cfg.master_seed, 2 * sessions + 1))
             bits_sent += nbits
             bit_errors += nerr
             decoded = next((f for f in found if f.msg_type == msg_type), None)
@@ -186,7 +184,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
         line1 = line2 = " " * 16
     else:
         line1, line2 = render_display(shown_state, shown_faults)
-    brg = nearest_spbrg(cfg.usart.fosc, cfg.tx.bit_rate, brgh=cfg.usart.brgh)
+    baud = actual_baud(cfg.usart)
     report = ScenarioReport(
         duration_s=cfg.duration_s,
         sessions=sessions,
@@ -198,9 +196,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
         fault_events=fault_events,
         display_line1=line1,
         display_line2=line2,
-        spbrg=brg.spbrg,
-        actual_baud=brg.actual,
-        baud_error_pct=brg.error_pct,
+        spbrg=cfg.usart.spbrg,
+        actual_baud=baud,
+        baud_error_pct=100.0 * (baud - cfg.tx.bit_rate) / cfg.tx.bit_rate,
     )
     return report, traces
 
@@ -232,35 +230,12 @@ def _random_reading_frames(n_frames: int, seed: int) -> bytes:
     return bytes(out)
 
 
-def _framed_point(cfg: ScenarioConfig, bits_per_point: int,
-                  seed: int) -> tuple[int, int, int, int]:
-    """Run one sweep point as back-to-back framed USART traffic.
-
-    Returns (bits sent, bit errors, frames sent, frames delivered).  Bit
-    errors are counted at the modem's mid-bit decisions over the framed
-    span; deliveries come from the x16 receiver plus frame decoding.
-    """
-    bits_per_frame = READING_FRAME_LEN * cfg.usart.frame_bits
-    n_frames = max(1, math.ceil(bits_per_point / bits_per_frame))
-    payload = _random_reading_frames(n_frames, derive_seed(seed, 1))
-    line_bits = frame_line_bits(payload, cfg)
-    link = replace(cfg.link, rng_seed=derive_seed(seed, 2))
-    rx_machine = UsartRx(cfg.usart)
-    mids, received = run_line(line_bits, link, cfg.tx, cfg.rx, cfg.q_factor,
-                              derive_seed(seed, 2), usart_rx=rx_machine)
-    span = slice(IDLE_PREAMBLE_BITS, line_bits.size - IDLE_TAIL_BITS)
-    errors = int(np.count_nonzero(mids[span] != line_bits[span]))
-    stream = bytes(word & 0xFF for word, _ in received)
-    delivered = sum(1 for f in scan_frames(stream)
-                    if f.msg_type in (MSG_READING, MSG_FAULT_ALARM))
-    return span.stop - span.start, errors, n_frames, min(delivered, n_frames)
-
-
 def ber_sweep(cfg: ScenarioConfig, variable: str, values,
               bits_per_point: int = 10_000) -> list[SweepResult]:
     """Measure BER and frame delivery across a parameter sweep.
 
-    Each point gets its own derived seed, so results are reproducible and
+    Each point sends back-to-back random reading frames through the full
+    stack and gets its own derived seed, so results are reproducible and
     independent of evaluation order.
     """
     if variable not in _SWEEP_VARIABLES:
@@ -270,14 +245,18 @@ def ber_sweep(cfg: ScenarioConfig, variable: str, values,
         raise ValueError("sweep needs at least one value")
     if bits_per_point < 1000:
         raise ValueError("bits_per_point must be at least 1000")
+    bits_per_frame = READING_FRAME_LEN * cfg.usart.frame_bits
+    n_frames = max(1, math.ceil(bits_per_point / bits_per_frame))
     results = []
     for index, value in enumerate(values):
-        pcfg = _point_config(cfg, variable, value)
-        bits, errors, sent, delivered = _framed_point(
-            pcfg, bits_per_point, derive_seed(cfg.master_seed, index))
+        seed = derive_seed(cfg.master_seed, index)
+        payload = _random_reading_frames(n_frames, derive_seed(seed, 1))
+        found, bits, errors = _send(_point_config(cfg, variable, value), payload,
+                                    derive_seed(seed, 2))
+        delivered = sum(1 for f in found if f.msg_type in (MSG_READING, MSG_FAULT_ALARM))
         results.append(SweepResult(
-            var=float(value), bits_sent=bits, bit_errors=errors,
-            ber=errors / bits, frames_sent=sent, frames_delivered=delivered))
+            var=float(value), bits_sent=bits, bit_errors=errors, ber=errors / bits,
+            frames_sent=n_frames, frames_delivered=min(delivered, n_frames)))
     return results
 
 
@@ -287,8 +266,7 @@ def _probe_ber(cfg: ScenarioConfig, rate: int, bits_per_probe: int) -> float:
     rng = np.random.default_rng(derive_seed(seed, 1))
     line_bits = rng.integers(0, 2, bits_per_probe).astype(np.uint8)
     pcfg = _point_config(cfg, "bit_rate", float(rate))
-    link = replace(pcfg.link, rng_seed=derive_seed(seed, 2))
-    mids, _ = run_line(line_bits, link, pcfg.tx, pcfg.rx, pcfg.q_factor,
+    mids, _ = run_line(line_bits, pcfg.link, pcfg.tx, pcfg.rx, pcfg.q_factor,
                        derive_seed(seed, 2))
     return int(np.count_nonzero(mids != line_bits)) / bits_per_probe
 

@@ -152,16 +152,11 @@ def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
         mid_idx = np.rint((np.arange(k0, k0 + chunk.size) + 0.5) * chain.spb).astype(np.int64)
         mids[k0:k0 + chunk.size] = logic[np.minimum(mid_idx, n1 - 1) - n0]
         if usart_rx is not None:
-            j = chain.sub_index
-            sub_idx = []
-            while True:
-                s = int(round(j * chain.sub_stride))
-                if s >= n1:
-                    break
-                sub_idx.append(s - n0)
-                j += 1
-            chain.sub_index = j
-            for level in logic[sub_idx]:
+            grid = np.arange(chain.sub_index, math.ceil(n1 / chain.sub_stride) + 1)
+            sub_idx = np.rint(grid * chain.sub_stride).astype(np.int64)
+            sub_idx = sub_idx[sub_idx < n1]
+            chain.sub_index += sub_idx.size
+            for level in logic[sub_idx - n0]:
                 usart_rx.sample(int(level))
                 if usart_rx.rcif:
                     received.append(usart_rx.read())

@@ -13,7 +13,7 @@ waveform time onto these grids.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 
@@ -131,38 +131,6 @@ def frame_encode(byte: int, ninth: int | None, cfg: UsartConfig) -> list[int]:
         bits.append(ninth)
     bits.append(1)
     return bits
-
-
-class BaudRateGenerator:
-    """Free-running bit-period timer.
-
-    Writing a new SPBRG value resets the timer, so the next bit boundary
-    lands one full new period after the write rather than waiting for the
-    old period to expire.
-    """
-
-    def __init__(self, cfg: UsartConfig, start_time: float = 0.0):
-        self.cfg = cfg
-        self._period = 1.0 / actual_baud(cfg)
-        self._next = start_time + self._period
-
-    @property
-    def period(self) -> float:
-        return self._period
-
-    def next_boundary(self) -> float:
-        return self._next
-
-    def advance(self) -> float:
-        """Consume and return the next bit boundary time."""
-        t = self._next
-        self._next += self._period
-        return t
-
-    def write_spbrg(self, spbrg: int, now: float) -> None:
-        self.cfg = replace(self.cfg, spbrg=spbrg)
-        self._period = 1.0 / actual_baud(self.cfg)
-        self._next = now + self._period
 
 
 class UsartTx:
@@ -337,10 +305,3 @@ class UsartRx:
             raise RxFifoEmptyError("receive FIFO is empty")
         return self._fifo.popleft()
 
-
-def bits_to_levels_x16(bits) -> list[int]:
-    """Expand bit-period levels onto the receiver's x16 sample grid."""
-    out: list[int] = []
-    for b in bits:
-        out.extend([1 if b else 0] * 16)
-    return out

@@ -4,6 +4,14 @@ from iptsim.config import build_config
 from iptsim.modem import RxParams, TxParams
 
 
+def bits_to_levels_x16(bits) -> list[int]:
+    """Expand bit-period levels onto the USART receiver's x16 sample grid."""
+    out: list[int] = []
+    for b in bits:
+        out.extend([1 if b else 0] * 16)
+    return out
+
+
 @pytest.fixture(scope="session")
 def baseline_cfg():
     """Fully resolved built-in baseline scenario."""

@@ -19,9 +19,11 @@ from iptsim.modem import demodulate, envelope_detect, gate_carrier, lowpass_stag
 from iptsim.telemetry import (FaultSet, FrameError, MotorState, ProximityParams,
                               Thresholds, classify_faults, decode_frame,
                               encode_frame, proximity_pulses, speed_from_pulses)
-from iptsim.usart import (UsartConfig, UsartRx, UsartTx, actual_baud,
-                          bits_to_levels_x16, brg_divisor, frame_encode)
+from iptsim.usart import (UsartConfig, UsartRx, UsartTx, actual_baud, brg_divisor,
+                          frame_encode)
 from iptsim.waveform import Waveform
+
+from conftest import bits_to_levels_x16
 
 BER_CEILING = 1e-3
 

@@ -78,6 +78,26 @@ def test_filter_order_validated():
         build_config({"sim.filter_order": 4})
 
 
+def test_integer_keys_parse_exactly():
+    values, _ = parse_config_text("sim.master_seed = 12345678901234567891\n")
+    assert values["sim.master_seed"] == 12345678901234567891
+    assert build_config(values).master_seed == 12345678901234567891
+
+
+@pytest.mark.parametrize("text", ["sim.filter_order = 2.9", "sim.filter_order = 2.0",
+                                  "usart.spbrg = 1e2", "sim.master_seed = 7.5"])
+def test_fractional_integer_text_rejected(text):
+    with pytest.raises(ConfigError, match=text.split(" ")[0]):
+        parse_config_text(text + "\n")
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_master_seed_outside_64_bits_rejected(seed):
+    values, _ = parse_config_text(f"sim.master_seed = {seed}\n")
+    with pytest.raises(ConfigError, match="sim.master_seed"):
+        build_config(values)
+
+
 def test_domain_invariants_surface_as_config_errors():
     with pytest.raises(ConfigError):
         build_config({"link.k0": 2.0})

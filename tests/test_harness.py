@@ -8,6 +8,7 @@ from iptsim.config import ScriptStep, build_config
 from iptsim.harness import (NoFeasibleRateError, SweepResult, TraceRecord,
                             ber_sweep, emit_csv, max_data_rate, run_scenario,
                             session_airtime_s)
+from iptsim.usart import actual_baud
 
 
 @pytest.fixture(scope="module")
@@ -44,6 +45,15 @@ def test_scenario_deterministic(short_cfg):
     b = run_scenario(short_cfg)
     assert emit_csv(a[1]) == emit_csv(b[1])
     assert a[0] == b[0]
+
+
+def test_report_shows_configured_usart():
+    # An explicit SPBRG is reported as configured, not re-derived from the bit rate.
+    cfg = build_config({"sim.duration_s": 1.0, "usart.spbrg": 100})
+    report, _ = run_scenario(cfg)
+    assert report.spbrg == 100
+    assert report.actual_baud == actual_baud(cfg.usart) == 4e6 / (64 * 101)
+    assert report.baud_error_pct == pytest.approx(100 * (4e6 / (64 * 101) - 250) / 250)
 
 
 def test_session_airtime(short_cfg):

@@ -4,24 +4,40 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from iptsim import simulate
 from iptsim.channel import propagate
-from iptsim.modem import demodulate, gate_carrier, switch_drive
+from iptsim.harness import frame_line_bits
+from iptsim.modem import demodulate, gate_carrier, logic_waveform, switch_drive
 from iptsim.simulate import (derived_envelope_tau, derived_hf_cutoff,
                              mark_envelope, noise_rms_for_snr, run_line)
 from iptsim.usart import UsartRx
 from iptsim.waveform import Waveform
 
 
-def _composed_reference(bits, cfg, seed):
-    """Literal operator chain the streaming path mirrors."""
+def _received(bits, cfg, seed):
+    """Literal operator chain the streaming path mirrors, up to the receiver."""
     carrier = gate_carrier(bits, cfg.tx)
     drive = switch_drive(carrier, cfg.tx)
     coupled = Waveform(drive.sample_rate, drive.samples - cfg.tx.vcc)
-    link = replace(cfg.link, rng_seed=seed)
-    received = propagate(coupled, link, cfg.q_factor,
-                         carrier_freq=cfg.tx.carrier_freq)
-    return demodulate(received, cfg.rx, cfg.tx.bit_rate)
+    return propagate(coupled, cfg.link, cfg.q_factor, cfg.tx.carrier_freq, seed)
+
+
+def _composed_reference(bits, cfg, seed):
+    return demodulate(_received(bits, cfg, seed), cfg.rx, cfg.tx.bit_rate)
+
+
+class _RecordingRx(UsartRx):
+    """Receiver that keeps every x16 sample it is fed."""
+
+    def __init__(self, cfg):
+        super().__init__(cfg)
+        self.levels = []
+
+    def sample(self, level):
+        self.levels.append(level)
+        super().sample(level)
 
 
 def test_run_line_matches_composed_ops_noiseless(baseline_cfg):
@@ -42,6 +58,24 @@ def test_run_line_matches_composed_ops_noisy_multichunk(baseline_cfg):
     assert np.array_equal(mids, _composed_reference(bits, cfg, 77))
 
 
+@pytest.mark.parametrize("bit_rate", [413.0, 1000.0])
+def test_run_line_x16_feed_matches_loop_reference(baseline_cfg, bit_rate):
+    # The receiver must see the whole-waveform logic level at round(j * spb/16)
+    # for every grid point j inside the stream, found here with a scalar loop.
+    # At 1000 bit/s the stride is 62.5 samples, so every other point is a tie.
+    cfg = replace(baseline_cfg, tx=replace(baseline_cfg.tx, bit_rate=bit_rate))
+    bits = np.random.default_rng(21).integers(0, 2, 600).astype(np.uint8)
+    rx = _RecordingRx(cfg.usart)
+    run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 77, usart_rx=rx)
+    logic = logic_waveform(_received(bits, cfg, 77), cfg.rx).samples
+    stride = cfg.tx.sample_rate / cfg.tx.bit_rate / 16
+    positions = []
+    while round(len(positions) * stride) < logic.size:
+        positions.append(round(len(positions) * stride))
+    expected = (logic[positions] > cfg.rx.v_logic_high / 2).astype(int).tolist()
+    assert rx.levels == expected
+
+
 def test_run_line_deterministic(baseline_cfg):
     cfg = baseline_cfg
     bits = np.random.default_rng(3).integers(0, 2, 300).astype(np.uint8)
@@ -58,6 +92,27 @@ def test_run_line_feeds_usart(baseline_cfg):
     _, received = run_line(np.array(bits, dtype=np.uint8), cfg.link, cfg.tx,
                            cfg.rx, cfg.q_factor, 13, usart_rx=rx)
     assert [(w & 0xFF, f) for w, f in received] == [(0xC3, False)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(chunk_bits=st.integers(1, 300), payload=st.binary(min_size=1, max_size=3),
+       gap=st.sampled_from([0.05, 0.15]))
+def test_run_line_independent_of_chunk_size(baseline_cfg, chunk_bits, payload, gap):
+    # At 0.15 m the link makes errors, so the decisions depend on the noise
+    # draw and on filter, comparator and x16 grid state carried across chunks.
+    cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, gap=gap))
+    bits = frame_line_bits(payload, cfg)
+
+    def run():
+        return run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 13,
+                        usart_rx=UsartRx(cfg.usart))
+
+    ref_mids, ref_words = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_CHUNK_BITS", chunk_bits)
+        mids, words = run()
+    assert np.array_equal(mids, ref_mids)
+    assert words == ref_words
 
 
 def test_run_line_rejects_empty(baseline_cfg):
@@ -90,8 +145,8 @@ def test_mark_envelope_matches_simulation(baseline_cfg):
     idle = gate_carrier([1] * 10, cfg.tx)
     drive = switch_drive(idle, cfg.tx)
     coupled = Waveform(drive.sample_rate, drive.samples - cfg.tx.vcc)
-    received = propagate(coupled, cfg.link, cfg.q_factor,
-                         carrier_freq=cfg.tx.carrier_freq)
+    received = propagate(coupled, cfg.link, cfg.q_factor, cfg.tx.carrier_freq,
+                         noise_seed=0)
     env = envelope_detect(hf_filter(received, cfg.rx), cfg.rx).samples
     settled = float(np.mean(env[len(env) // 2:]))
     assert settled == pytest.approx(mark_envelope(cfg.link, cfg.tx, cfg.q_factor),

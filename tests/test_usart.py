@@ -1,10 +1,11 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from iptsim.usart import (BaudRateGenerator, NinthBitMismatchError, RxFifoEmptyError,
-                          SpbrgRangeError, TxBufferFullError, UsartConfig, UsartRx,
-                          UsartTx, actual_baud, bits_to_levels_x16, brg_divisor,
-                          frame_encode, nearest_spbrg)
+from iptsim.usart import (NinthBitMismatchError, RxFifoEmptyError, SpbrgRangeError,
+                          TxBufferFullError, UsartConfig, UsartRx, UsartTx,
+                          actual_baud, brg_divisor, frame_encode, nearest_spbrg)
+
+from conftest import bits_to_levels_x16
 
 CFG = UsartConfig(fosc=4e6, spbrg=249)
 
@@ -261,16 +262,6 @@ def test_round_trip_all_bytes_through_x16():
         byte, ferr = rx.read()
         assert byte == value
         assert ferr is False
-
-
-# ---- baud-rate timer --------------------------------------------------------
-
-def test_brg_timer_reset_on_spbrg_write():
-    brg = BaudRateGenerator(UsartConfig(fosc=4e6, spbrg=249), start_time=0.0)
-    assert brg.advance() == pytest.approx(0.004)
-    assert brg.advance() == pytest.approx(0.008)
-    brg.write_spbrg(99, now=0.008)  # new rate 625 baud -> 1.6 ms period
-    assert brg.next_boundary() == pytest.approx(0.008 + 1.6e-3)
 
 
 # ---- random operation sequences --------------------------------------------
