@@ -6,14 +6,13 @@ that measures bit-error rate, maximum data rate, and air-gap tolerance.
 """
 
 from .channel import (CoilPair, LinkParams, coupling_coefficient,
-                      mutual_inductance, propagate, resonant_frequency,
-                      tank_gain, voltage_gain)
+                      mutual_inductance, resonant_frequency, tank_gain,
+                      voltage_gain)
 from .config import ConfigError, ScenarioConfig, ScriptStep, build_config, load_config
 from .harness import (MaxRateResult, NoFeasibleRateError, ScenarioReport,
                       SweepResult, TraceRecord, ber_sweep, emit_csv,
                       max_data_rate, run_scenario)
-from .modem import (RxParams, TxParams, demodulate, envelope_detect,
-                    gate_carrier, hf_filter, level_convert, switch_drive)
+from .modem import RxParams, TxParams
 from .seeds import derive_seed, mix64
 from .telemetry import (FaultSet, MotorState, ProximityParams, Thresholds,
                         classify_faults, decode_frame, encode_frame,
@@ -30,10 +29,9 @@ __all__ = [
     "SweepResult", "Thresholds", "TraceRecord", "TxParams", "UsartConfig",
     "UsartRx", "UsartTx", "Waveform", "actual_baud", "as_bits", "ber_sweep",
     "brg_divisor", "build_config", "classify_faults", "coupling_coefficient",
-    "decode_frame", "demodulate", "derive_seed", "emit_csv", "encode_frame",
-    "encode_poll", "envelope_detect", "frame_encode", "gate_carrier",
-    "hf_filter", "level_convert", "load_config", "max_data_rate", "mix64",
-    "mutual_inductance", "propagate", "proximity_pulses", "render_display",
-    "resonant_frequency", "run_scenario", "speed_from_pulses", "switch_drive",
-    "tank_gain", "voltage_gain",
+    "decode_frame", "derive_seed", "emit_csv", "encode_frame", "encode_poll",
+    "frame_encode", "load_config", "max_data_rate", "mix64",
+    "mutual_inductance", "proximity_pulses", "render_display",
+    "resonant_frequency", "run_scenario", "speed_from_pulses", "tank_gain",
+    "voltage_gain",
 ]

@@ -1,19 +1,16 @@
-"""Inductively coupled link: coupling vs. air gap, resonant pickup, additive noise.
+"""Inductively coupled link: coupling vs. air gap and the resonant pickup.
 
 The link between the drive coil and the pickup coil is reduced to a scalar
-voltage gain (coupling times the tank's magnitude response at the carrier)
-plus white Gaussian noise.  Good enough for a narrowband OOK modem; no
-circuit-level integration is attempted.
+voltage gain (coupling times the tank's magnitude response at the carrier);
+the line chain in iptsim.simulate applies it and adds the channel's white
+Gaussian noise.  Good enough for a narrowband OOK modem; no circuit-level
+integration is attempted.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-from .waveform import Waveform
 
 
 @dataclass(frozen=True)
@@ -99,18 +96,3 @@ def voltage_gain(link: LinkParams, carrier_freq: float, q_factor: float) -> floa
     m = mutual_inductance(k, link.coils)
     return (m / link.coils.l_primary) * tank_gain(carrier_freq, link.coils, q_factor)
 
-
-def propagate(tx: Waveform, link: LinkParams, q_factor: float,
-              carrier_freq: float, noise_seed: int) -> Waveform:
-    """Pass a drive waveform across the link.
-
-    Output = tx scaled by the coupling-derived gain at the carrier, plus
-    zero-mean Gaussian noise of RMS link.noise_rms drawn from noise_seed.
-    """
-    if len(tx) == 0:
-        raise ValueError("propagate requires a non-empty waveform")
-    out = voltage_gain(link, carrier_freq, q_factor) * tx.samples
-    if link.noise_rms > 0:
-        rng = np.random.default_rng(noise_seed)
-        out = out + rng.normal(0.0, link.noise_rms, out.size)
-    return Waveform(tx.sample_rate, out)

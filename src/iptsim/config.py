@@ -13,13 +13,13 @@ link budget at sim.calibration_gap, and the channel noise from sim.snr_db.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from .channel import CoilPair, LinkParams
 from .modem import RxParams, TxParams
-from .simulate import (calibrate_threshold, derived_envelope_tau,
-                       derived_hf_cutoff, noise_rms_for_snr)
-from .telemetry import Thresholds
+from .simulate import (IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, calibrate_threshold,
+                       derived_envelope_tau, derived_hf_cutoff, noise_rms_for_snr)
+from .telemetry import POLL_FRAME_LEN, READING_FRAME_LEN, Thresholds
 from .usart import UsartConfig, nearest_spbrg
 
 
@@ -194,6 +194,7 @@ def build_config(values: dict[str, object] | None = None,
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown configuration key {key!r}")
         merged.update(values)
+    _check_finite(merged, script or ())
 
     def need(key):
         v = merged[key]
@@ -301,8 +302,27 @@ def build_config(values: dict[str, object] | None = None,
     return cfg
 
 
+def _check_finite(merged: dict[str, object], script) -> None:
+    # NaN passes every ordered comparison the parameter checks make, so it
+    # and infinity are stopped here, before any value is used.
+    for key in sorted(_FLOAT_KEYS):
+        value = merged[key]
+        if value is not None and not math.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
+    for step in script:
+        if not all(map(math.isfinite, astuple(step))):
+            raise ConfigError(f"script values must be finite, got {astuple(step)}")
+
+
+def session_airtime_s(cfg: ScenarioConfig) -> float:
+    """Wire time of one poll/reply exchange including idle padding."""
+    pad = IDLE_PREAMBLE_BITS + IDLE_TAIL_BITS
+    poll_bits = POLL_FRAME_LEN * cfg.usart.frame_bits + pad
+    reply_bits = READING_FRAME_LEN * cfg.usart.frame_bits + pad
+    return (poll_bits + reply_bits) / cfg.tx.bit_rate
+
+
 def _check_session_fits(cfg: ScenarioConfig) -> None:
-    from .harness import session_airtime_s  # local import avoids a cycle
     airtime = session_airtime_s(cfg)
     if airtime > cfg.poll_interval_s:
         raise ConfigError(
@@ -326,10 +346,11 @@ def with_filter_order(cfg: ScenarioConfig, order: int) -> ScenarioConfig:
     Re-derives the envelope time constant for the new order; everything
     else, including the calibrated threshold, is kept.
     """
+    cfg = replace(cfg, filter_order=order)  # rejects an order outside 1..3
     rx = replace(cfg.rx,
                  envelope_tau=derived_envelope_tau(cfg.tx.carrier_freq, order),
                  envelope_order=order)
-    return replace(cfg, rx=rx, filter_order=order)
+    return replace(cfg, rx=rx)
 
 
 def with_carrier(cfg: ScenarioConfig, carrier_freq: float) -> ScenarioConfig:

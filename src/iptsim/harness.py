@@ -15,9 +15,8 @@ import numpy as np
 from .config import ScenarioConfig
 from .seeds import derive_seed
 from .simulate import IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, run_line
-from .telemetry import (FaultSet, MotorState, POLL_FRAME_LEN, READING_FRAME_LEN,
-                        classify_faults, encode_frame, encode_poll,
-                        render_display, scan_frames,
+from .telemetry import (FaultSet, MotorState, READING_FRAME_LEN, classify_faults,
+                        encode_frame, encode_poll, render_display, scan_frames,
                         MSG_FAULT_ALARM, MSG_POLL, MSG_READING)
 from .usart import UsartRx, actual_baud, frame_encode
 
@@ -81,14 +80,6 @@ def frame_line_bits(frame_bytes: bytes, cfg: ScenarioConfig) -> np.ndarray:
         bits.extend(frame_encode(b, ninth, cfg.usart))
     bits.extend([1] * IDLE_TAIL_BITS)
     return np.array(bits, dtype=np.uint8)
-
-
-def session_airtime_s(cfg: ScenarioConfig) -> float:
-    """Wire time of one poll/reply exchange including idle padding."""
-    pad = IDLE_PREAMBLE_BITS + IDLE_TAIL_BITS
-    poll_bits = POLL_FRAME_LEN * cfg.usart.frame_bits + pad
-    reply_bits = READING_FRAME_LEN * cfg.usart.frame_bits + pad
-    return (poll_bits + reply_bits) / cfg.tx.bit_rate
 
 
 def _send(cfg: ScenarioConfig, frame_bytes: bytes,

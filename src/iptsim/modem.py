@@ -1,10 +1,8 @@
-"""On-off-keyed modem: gated-carrier transmitter and envelope-detecting receiver.
+"""On-off-keyed modem settings and receiver maths.
 
-Transmit side gates a unit sinusoid with the data bits and drives a switching
-transistor (two-level collector output).  Receive side is a two-stage RC
-low-pass to strip high-frequency noise, a rectifier plus RC smoothing stage
-that turns carrier bursts into a flat envelope, and a hysteresis comparator
-producing clean logic levels.
+Transmitter and receiver parameter sets, the RC section coefficients used by
+the noise filter and the envelope smoother, and the hysteresis comparator.
+The line chain in iptsim.simulate composes them into the link.
 """
 
 from __future__ import annotations
@@ -13,17 +11,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
-
-from .waveform import Waveform, as_bits
 
 # Comparator switching points sit +/-10% around the nominal threshold so a
 # noisy envelope cannot chatter the logic output.
 HYSTERESIS_FRACTION = 0.10
-
-
-class LengthMismatchError(ValueError):
-    """Waveform does not cover a whole number of bit periods."""
 
 
 @dataclass(frozen=True)
@@ -38,6 +29,8 @@ class TxParams:
     ic_on: float         # A, collector current when switched on
 
     def __post_init__(self):
+        if self.bit_rate <= 0:
+            raise ValueError("bit_rate must be positive")
         if self.sample_rate < 20 * self.carrier_freq:
             raise ValueError("sample_rate must be at least 20x the carrier")
         if self.carrier_freq < 10 * self.bit_rate:
@@ -77,41 +70,6 @@ class RxParams:
             raise ValueError("envelope_order must be at least 1")
 
 
-def bit_slot_edges(n_bits: int, samples_per_bit: float) -> np.ndarray:
-    """Sample indices of bit-period boundaries (n_bits + 1 edges)."""
-    return np.rint(np.arange(n_bits + 1) * samples_per_bit).astype(np.int64)
-
-
-def gate_carrier(bits, p: TxParams) -> Waveform:
-    """Gate a unit-amplitude carrier with the bit stream.
-
-    1-bits carry a sinusoid at carrier_freq, 0-bits are exactly zero.  The
-    sinusoid phase runs continuously, so consecutive 1-bits join seamlessly.
-    """
-    bits = as_bits(bits)
-    if bits.size == 0:
-        raise ValueError("gate_carrier requires a non-empty bit stream")
-    spb = p.sample_rate / p.bit_rate
-    edges = bit_slot_edges(bits.size, spb)
-    idx = np.arange(edges[-1])
-    w = np.sin((2.0 * np.pi * p.carrier_freq / p.sample_rate) * idx)
-    mask = np.repeat(bits.astype(bool), np.diff(edges))
-    w[~mask] = 0.0
-    return Waveform(p.sample_rate, w)
-
-
-def switch_drive(control: Waveform, p: TxParams) -> Waveform:
-    """Switching-transistor collector output for a logic-level control input.
-
-    Positive control switches the transistor on, pulling the collector to
-    vcc - ic_on*rc_load; otherwise the transistor is cut off and the output
-    rests at vcc.
-    """
-    on_level = p.vcc - p.ic_on * p.rc_load
-    out = np.where(control.samples > 0.0, on_level, p.vcc)
-    return Waveform(control.sample_rate, out)
-
-
 def lowpass_coeffs(cutoff_hz: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:
     """First-order low-pass (b, a) with the stated corner frequency.
 
@@ -126,35 +84,6 @@ def smoothing_coeffs(tau_s: float, sample_rate: float) -> tuple[np.ndarray, np.n
     """First-order low-pass (b, a) with the stated time constant."""
     a1 = math.exp(-1.0 / (tau_s * sample_rate))
     return np.array([1.0 - a1]), np.array([1.0, -a1])
-
-
-def lowpass_stage(wave: Waveform, cutoff_hz: float) -> Waveform:
-    """Single RC low-pass stage (unity DC gain, -3 dB at the cutoff)."""
-    b, a = lowpass_coeffs(cutoff_hz, wave.sample_rate)
-    return Waveform(wave.sample_rate, lfilter(b, a, wave.samples))
-
-
-def hf_filter(rx: Waveform, p: RxParams) -> Waveform:
-    """Two cascaded RC low-pass stages that strip noise above the carrier."""
-    if len(rx) == 0:
-        raise ValueError("hf_filter requires a non-empty waveform")
-    return lowpass_stage(lowpass_stage(rx, p.hf_cutoff), p.hf_cutoff)
-
-
-def envelope_detect(filtered: Waveform, p: RxParams) -> Waveform:
-    """Rectify and smooth carrier bursts into a flat envelope.
-
-    Full-wave rectifier followed by envelope_order identical RC sections
-    with time constant envelope_tau each.  A sustained carrier of amplitude
-    A settles near (2/pi)*A for the single-section detector.
-    """
-    if len(filtered) == 0:
-        raise ValueError("envelope_detect requires a non-empty waveform")
-    b, a = smoothing_coeffs(p.envelope_tau, filtered.sample_rate)
-    y = np.abs(filtered.samples)
-    for _ in range(p.envelope_order):
-        y = lfilter(b, a, y)
-    return Waveform(filtered.sample_rate, y)
 
 
 def hysteresis_compare(x: np.ndarray, high: float, low: float,
@@ -172,33 +101,3 @@ def hysteresis_compare(x: np.ndarray, high: float, low: float,
     out = np.where(pos >= 0, cls[np.maximum(pos, 0)] > 0, initial)
     state = bool(out[-1]) if out.size else initial
     return out, state
-
-
-def level_convert(env: Waveform, p: RxParams) -> Waveform:
-    """Map an envelope onto clean {0, v_logic_high} logic levels."""
-    high = p.threshold * (1.0 + HYSTERESIS_FRACTION)
-    low = p.threshold * (1.0 - HYSTERESIS_FRACTION)
-    on, _ = hysteresis_compare(env.samples, high, low, initial=False)
-    return Waveform(env.sample_rate, np.where(on, p.v_logic_high, 0.0))
-
-
-def logic_waveform(rx: Waveform, p: RxParams) -> Waveform:
-    """Full receive chain: noise filter, envelope detector, level converter."""
-    return level_convert(envelope_detect(hf_filter(rx, p), p), p)
-
-
-def demodulate(rx: Waveform, p: RxParams, bit_rate: float) -> np.ndarray:
-    """Recover the bit stream from a received waveform.
-
-    Runs the receive chain and samples the logic level at the midpoint of
-    each bit period.  The waveform must cover a whole number of bit periods.
-    """
-    spb = rx.sample_rate / bit_rate
-    n_bits = int(round(len(rx) / spb))
-    if n_bits < 1 or int(round(n_bits * spb)) != len(rx):
-        raise LengthMismatchError(
-            f"waveform of {len(rx)} samples does not cover whole bit periods "
-            f"at {bit_rate} bit/s ({rx.sample_rate} Hz sampling)")
-    logic = logic_waveform(rx, p)
-    mids = np.rint((np.arange(n_bits) + 0.5) * spb).astype(np.int64)
-    return (logic.samples[mids] > p.v_logic_high / 2).astype(np.uint8)

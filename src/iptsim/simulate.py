@@ -1,4 +1,4 @@
-"""Streamed end-to-end line simulation shared by the scenario runner and sweeps.
+"""The line chain: the one implementation of the link, streamed.
 
 One call to run_line() pushes a sequence of NRZ bit-period levels through
 
@@ -12,8 +12,8 @@ fed to a receiver instance whose delivered words are collected.
 The static collector rail carries no flux, so the link input is the switch
 output minus vcc: zero during 0-bits, a unipolar square at the carrier rate
 during 1-bits.  Processing is chunked with filter/comparator/noise state
-carried across chunks, so arbitrarily long streams run in constant memory,
-bit-exactly matching the whole-waveform operators.
+carried across chunks, so arbitrarily long streams run in constant memory
+and the output does not depend on where the chunk boundaries fall.
 """
 
 from __future__ import annotations
@@ -83,12 +83,10 @@ def noise_rms_for_snr(link: LinkParams, tx: TxParams, q_factor: float,
 
 
 class _LineChain:
-    """Per-run filter, comparator, noise, and grid state."""
+    """Per-run filter, comparator, noise, and grid state, one method per stage."""
 
     def __init__(self, link: LinkParams, tx: TxParams, rx: RxParams,
                  q_factor: float, noise_seed: int):
-        self.tx = tx
-        self.rx = rx
         self.spb = tx.sample_rate / tx.bit_rate
         self.sub_stride = self.spb / 16.0
         self.gain = voltage_gain(link, tx.carrier_freq, q_factor)
@@ -105,35 +103,54 @@ class _LineChain:
         self.rng = np.random.default_rng(noise_seed)
         self.sub_index = 0  # next x16 grid point to emit
 
-    def process(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
-        """Run bits [k0, k0+len) through the chain.
+    def drive(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
+        """Switch output minus the rail for bits [k0, k0+len), and its sample span.
 
-        Returns (logic levels as bool array, first global sample index of
-        the chunk, last global sample index).
+        The transistor is on while a 1-bit gates a positive carrier, whose
+        phase runs on across bits and chunks.
         """
         edges = np.rint((np.arange(bits.size + 1) + k0) * self.spb).astype(np.int64)
         n0, n1 = int(edges[0]), int(edges[-1])
-        idx = np.arange(n0, n1)
-        carrier = np.sin(self.omega * idx)
+        carrier = np.sin(self.omega * np.arange(n0, n1))
         on = np.repeat(bits.astype(bool), np.diff(edges))
-        x = np.where(on & (carrier > 0.0), self.on_level, 0.0)
+        return np.where(on & (carrier > 0.0), self.on_level, 0.0), n0, n1
+
+    def couple(self, x: np.ndarray) -> np.ndarray:
+        """Inductive link: scalar gain at the carrier plus Gaussian noise."""
         y = self.gain * x
         if self.noise_rms > 0:
             y = y + self.rng.normal(0.0, self.noise_rms, y.size)
+        return y
+
+    def filter_hf(self, y: np.ndarray) -> np.ndarray:
+        """Two cascaded RC low-pass sections that strip noise above the carrier."""
         for i in range(2):
             y, self.z_hf[i] = lfilter(*self.hf, y, zi=self.z_hf[i])
+        return y
+
+    def envelope(self, y: np.ndarray) -> np.ndarray:
+        """Full-wave rectifier followed by the RC smoothing cascade."""
         y = np.abs(y)
         for i in range(len(self.z_env)):
             y, self.z_env[i] = lfilter(*self.env, y, zi=self.z_env[i])
+        return y
+
+    def compare(self, env: np.ndarray) -> np.ndarray:
+        """Hysteresis level converter: logic high above the upper switching point."""
         logic, self.cmp_state = hysteresis_compare(
-            y, self.cmp_high, self.cmp_low, self.cmp_state)
-        return logic, n0, n1
+            env, self.cmp_high, self.cmp_low, self.cmp_state)
+        return logic
+
+    def process(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
+        """Logic levels for bits [k0, k0+len) through every stage, and their sample span."""
+        x, n0, n1 = self.drive(bits, k0)
+        return self.compare(self.envelope(self.filter_hf(self.couple(x)))), n0, n1
 
 
 def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
              q_factor: float, noise_seed: int,
              usart_rx: UsartRx | None = None) -> tuple[np.ndarray, list[tuple[int, bool]]]:
-    """Transmit bit-period levels across the link and demodulate them.
+    """Transmit bit-period levels across the link and recover them.
 
     Returns the logic level at each bit midpoint (uint8 array, one entry
     per input bit) and the words delivered by the optional USART receiver,

@@ -1,4 +1,4 @@
-"""Sampled-signal container shared by every analog stage of the chain."""
+"""Sampled-signal container for the sensor models, and bit-stream validation."""
 
 from __future__ import annotations
 

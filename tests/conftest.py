@@ -1,7 +1,12 @@
-import pytest
+import math
 
+import numpy as np
+import pytest
+from scipy.signal import lfilter
+
+from iptsim.channel import voltage_gain
 from iptsim.config import build_config
-from iptsim.modem import RxParams, TxParams
+from iptsim.modem import HYSTERESIS_FRACTION, RxParams, TxParams
 
 
 def bits_to_levels_x16(bits) -> list[int]:
@@ -10,6 +15,47 @@ def bits_to_levels_x16(bits) -> list[int]:
     for b in bits:
         out.extend([1 if b else 0] * 16)
     return out
+
+
+def reference_logic(bits, cfg, noise_seed) -> np.ndarray:
+    """Whole-array logic waveform of the link: the oracle for the line chain.
+
+    Written out from the circuit, independently of iptsim.simulate: collector
+    swing minus the rail, link gain and noise, two HF RC sections, rectifier,
+    envelope_order smoothing sections and a sample-by-sample comparator.
+    """
+    tx, rx, fs = cfg.tx, cfg.rx, cfg.tx.sample_rate
+    edges = np.rint(np.arange(len(bits) + 1) * (fs / tx.bit_rate)).astype(np.int64)
+    carrier = np.sin(2.0 * np.pi * tx.carrier_freq / fs * np.arange(edges[-1]))
+    gated = np.repeat(np.asarray(bits, dtype=bool), np.diff(edges)) & (carrier > 0.0)
+    collector = np.where(gated, tx.vcc - tx.ic_on * tx.rc_load, tx.vcc)
+    y = voltage_gain(cfg.link, tx.carrier_freq, cfg.q_factor) * (collector - tx.vcc)
+    if cfg.link.noise_rms > 0:
+        y = y + np.random.default_rng(noise_seed).normal(0.0, cfg.link.noise_rms, y.size)
+    a_hf = math.exp(-2.0 * math.pi * rx.hf_cutoff / fs)
+    for _ in range(2):
+        y = lfilter([1.0 - a_hf], [1.0, -a_hf], y)
+    y = np.abs(y)
+    a_env = math.exp(-1.0 / (rx.envelope_tau * fs))
+    for _ in range(rx.envelope_order):
+        y = lfilter([1.0 - a_env], [1.0, -a_env], y)
+    high = rx.threshold * (1.0 + HYSTERESIS_FRACTION)
+    low = rx.threshold * (1.0 - HYSTERESIS_FRACTION)
+    state, out = False, []
+    for above, below in zip((y > high).tolist(), (y < low).tolist()):
+        if above:
+            state = True
+        elif below:
+            state = False
+        out.append(state)
+    return np.array(out, dtype=bool)
+
+
+def reference_mids(bits, cfg, noise_seed) -> np.ndarray:
+    """Oracle logic level at each bit midpoint, as run_line reports it."""
+    logic = reference_logic(bits, cfg, noise_seed)
+    spb = cfg.tx.sample_rate / cfg.tx.bit_rate
+    return logic[np.rint((np.arange(len(bits)) + 0.5) * spb).astype(np.int64)].astype(np.uint8)
 
 
 @pytest.fixture(scope="session")

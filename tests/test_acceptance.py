@@ -12,10 +12,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from iptsim.config import build_config, with_carrier, with_filter_order
 from iptsim.harness import ber_sweep, emit_csv, max_data_rate, run_scenario
-from iptsim.modem import demodulate, envelope_detect, gate_carrier, lowpass_stage, switch_drive
+from iptsim.modem import lowpass_coeffs
+from iptsim.simulate import _LineChain, run_line
 from iptsim.telemetry import (FaultSet, FrameError, MotorState, ProximityParams,
                               Thresholds, classify_faults, decode_frame,
                               encode_frame, proximity_pulses, speed_from_pulses)
@@ -135,36 +137,40 @@ def test_c4e_cleared_stop_bit_sets_ferr():
     assert rx.read() == (0x5A, True)
 
 
-def test_c5_modem_analytic_suite(tx_params, rx_params):
+def test_c5_modem_analytic_suite(baseline, tx_params, rx_params):
     # Single RC stage at its corner: 1/sqrt(2) within 1%.
-    tone = Waveform(1e6, np.sin(2 * np.pi * 20e3 * np.arange(5000) / 1e6))
-    out = lowpass_stage(tone, 20e3).samples[2500:]
+    tone = np.sin(2 * np.pi * 20e3 * np.arange(5000) / 1e6)
+    out = lfilter(*lowpass_coeffs(20e3, 1e6), tone)[2500:]
     assert math.sqrt(2) * np.sqrt(np.mean(out ** 2)) == pytest.approx(
         1 / math.sqrt(2), rel=0.01)
 
-    # Envelope of a sustained unit carrier: 2/pi within 5%.
+    # The line chain's envelope stage on a sustained unit carrier: 2/pi within 5%.
+    chain = _LineChain(baseline.link, tx_params, rx_params, baseline.q_factor, 0)
     tau_n = int(rx_params.envelope_tau * 1e6)
-    carrier = Waveform(1e6, np.sin(2 * np.pi * 10e3 * np.arange(30 * tau_n) / 1e6))
-    env = envelope_detect(carrier, rx_params).samples[5 * tau_n:]
-    assert np.all(np.abs(env - 2 / np.pi) <= 0.05 * 2 / np.pi)
+    env = chain.envelope(np.sin(2 * np.pi * 10e3 * np.arange(30 * tau_n) / 1e6))
+    assert np.all(np.abs(env[5 * tau_n:] - 2 / np.pi) <= 0.05 * 2 / np.pi)
 
-    # Switching stage reproduces vcc - ic*rc exactly on 100 random triples.
+    # The drive stage, taken back onto the rail, reproduces vcc - ic*rc
+    # exactly when on and vcc when off, on 100 random triples.
     rng = np.random.default_rng(1001)
     for _ in range(100):
         vcc = float(rng.uniform(1.0, 24.0))
         rc = float(rng.uniform(1.0, 1000.0))
         ic = float(rng.uniform(0.0, vcc / rc))
         p = replace(tx_params, vcc=vcc, rc_load=rc, ic_on=ic)
-        out = switch_drive(Waveform(1e6, np.array([1.0, -1.0])), p)
-        assert out.samples[0] == vcc - ic * rc
-        assert out.samples[1] == vcc
+        chain = _LineChain(baseline.link, p, rx_params, baseline.q_factor, 0)
+        drive, _, _ = chain.drive(np.array([1], dtype=np.uint8), 0)
+        assert vcc + drive[1] == vcc - ic * rc   # carrier positive: switched on
+        assert vcc + drive[0] == vcc             # sin(0) = 0: cut off
 
-    # Noiseless loopback identity over every byte pattern.
-    for value in range(256):
-        bits = [(value >> i) & 1 for i in range(8)]
-        back = demodulate(gate_carrier(bits, tx_params), rx_params,
-                          tx_params.bit_rate)
-        assert back.tolist() == bits
+    # Noiseless loopback identity over every byte pattern, through run_line.
+    for gap in (0.05, 0.10):
+        link = replace(baseline.link, gap=gap, noise_rms=0.0)
+        for value in range(256):
+            bits = [(value >> i) & 1 for i in range(8)]
+            mids, _ = run_line(bits, link, baseline.tx, baseline.rx,
+                               baseline.q_factor, 0)
+            assert mids.tolist() == bits, f"byte 0x{value:02X} corrupted at {gap} m"
 
 
 def test_c6_telemetry_suite():

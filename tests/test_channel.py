@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from iptsim.channel import (CoilPair, LinkParams, coupling_coefficient,
-                            mutual_inductance, propagate, resonant_frequency,
-                            tank_gain, voltage_gain)
-from iptsim.waveform import Waveform
+                            mutual_inductance, resonant_frequency, tank_gain,
+                            voltage_gain)
+from iptsim.simulate import _LineChain
 
 COILS = CoilPair(l_primary=1e-3, l_secondary=1e-3, c_tank=100e-9,
                  k0=0.6, decay_length=0.04)
@@ -102,60 +103,55 @@ def test_tank_gain_peaks_at_resonance_over_log_sweep():
     assert f0 / step <= peak <= f0 * step
 
 
-def _tone_wave(freq, fs, n):
-    t = np.arange(n) / fs
-    return Waveform(fs, np.sin(2 * np.pi * freq * t))
+def _tone(freq, fs, n):
+    return np.sin(2 * np.pi * freq * np.arange(n) / fs)
 
 
-def test_propagate_noiseless_is_scaled_copy():
+def _couple(x, link, tx, rx, q_factor=10.0, noise_seed=0):
+    """The line chain's coupling stage: link gain plus channel noise."""
+    return _LineChain(link, tx, rx, q_factor, noise_seed).couple(x)
+
+
+def test_propagate_noiseless_is_scaled_copy(tx_params, rx_params):
     link = LinkParams(coils=COILS, gap=0.0, noise_rms=0.0)
     f0 = resonant_frequency(COILS)
-    tx = _tone_wave(f0, 1e6, 20000)
-    out = propagate(tx, link, q_factor=1e6, carrier_freq=f0, noise_seed=0)
+    x = _tone(f0, 1e6, 20000)
+    out = _couple(x, link, replace(tx_params, carrier_freq=f0), rx_params, q_factor=1e6)
     gain = voltage_gain(link, f0, 1e6)
     assert gain == pytest.approx(COILS.k0, rel=1e-9)  # on-resonance, equal coils
-    assert np.allclose(out.samples, gain * tx.samples, rtol=1e-9, atol=1e-15)
+    assert np.allclose(out, gain * x, rtol=1e-9, atol=1e-15)
 
 
-def test_propagate_deterministic_for_fixed_seed():
+def test_propagate_deterministic_for_fixed_seed(tx_params, rx_params):
     link = LinkParams(coils=COILS, gap=0.02, noise_rms=0.05)
-    tx = _tone_wave(10e3, 1e6, 5000)
-    a = propagate(tx, link, 10.0, 10e3, noise_seed=99)
-    b = propagate(tx, link, 10.0, 10e3, noise_seed=99)
-    c = propagate(tx, link, 10.0, 10e3, noise_seed=100)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
+    x = _tone(10e3, 1e6, 5000)
+    a = _couple(x, link, tx_params, rx_params, noise_seed=99)
+    b = _couple(x, link, tx_params, rx_params, noise_seed=99)
+    c = _couple(x, link, tx_params, rx_params, noise_seed=100)
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
-def test_propagate_noise_rms_on_silent_input():
+def test_propagate_noise_rms_on_silent_input(tx_params, rx_params):
     link = LinkParams(coils=COILS, gap=0.0, noise_rms=0.1)
-    tx = Waveform(1e6, np.zeros(200_000))
-    out = propagate(tx, link, 10.0, 10e3, noise_seed=7)
-    rms = np.sqrt(np.mean(out.samples ** 2))
+    out = _couple(np.zeros(200_000), link, tx_params, rx_params, noise_seed=7)
+    rms = np.sqrt(np.mean(out ** 2))
     assert rms == pytest.approx(0.1, rel=0.05)
 
 
-def test_propagate_linear_when_noiseless():
+def test_propagate_linear_when_noiseless(tx_params, rx_params):
     link = LinkParams(coils=COILS, gap=0.01, noise_rms=0.0)
     rng = np.random.default_rng(3)
-    x = np.sin(2 * np.pi * 10e3 * np.arange(4000) / 1e6) * rng.normal(1, 0.1, 4000)
-    one = propagate(Waveform(1e6, x), link, 10.0, 10e3, noise_seed=0)
-    scaled = propagate(Waveform(1e6, 3.5 * x), link, 10.0, 10e3, noise_seed=0)
-    assert np.allclose(scaled.samples, 3.5 * one.samples, rtol=1e-9)
+    x = _tone(10e3, 1e6, 4000) * rng.normal(1, 0.1, 4000)
+    one = _couple(x, link, tx_params, rx_params)
+    scaled = _couple(3.5 * x, link, tx_params, rx_params)
+    assert np.allclose(scaled, 3.5 * one, rtol=1e-9)
 
 
-def test_propagate_rejects_empty_input():
-    link = LinkParams(coils=COILS)
-    with pytest.raises(ValueError):
-        propagate(Waveform(1e6, np.array([])), link, 10.0, 10e3, noise_seed=0)
-
-
-def test_propagate_same_length_and_rate():
+def test_propagate_same_length_and_rate(tx_params, rx_params):
     link = LinkParams(coils=COILS, gap=0.03, noise_rms=0.01)
-    tx = _tone_wave(10e3, 1e6, 12345)
-    out = propagate(tx, link, 10.0, 10e3, noise_seed=1)
-    assert len(out) == len(tx)
-    assert out.sample_rate == tx.sample_rate
+    out = _couple(_tone(10e3, 1e6, 12345), link, tx_params, rx_params, noise_seed=1)
+    assert out.shape == (12345,)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -52,6 +52,14 @@ def test_run_bad_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_run_zero_bit_rate_exit_code(tmp_path, capsys):
+    bad = tmp_path / "zero.cfg"
+    bad.write_text(BASELINE.replace("tx.bit_rate = 250", "tx.bit_rate = 0"),
+                   encoding="utf-8")
+    assert main(["run", str(bad)]) == 1
+    assert "bit_rate" in capsys.readouterr().err
+
+
 def test_sweep_subcommand_stdout(cfg_file, capsys):
     assert main(["sweep", str(cfg_file), "--var", "gap",
                  "--values", "0.0,0.05", "--bits", "1000"]) == 0

@@ -73,9 +73,12 @@ def test_script_must_be_increasing():
         build_config(script=steps)
 
 
-def test_filter_order_validated():
+def test_filter_order_validated(baseline_cfg):
     with pytest.raises(ConfigError, match="filter_order"):
         build_config({"sim.filter_order": 4})
+    for order in (0, 4):
+        with pytest.raises(ConfigError, match="filter_order"):
+            with_filter_order(baseline_cfg, order)
 
 
 def test_integer_keys_parse_exactly():
@@ -99,10 +102,30 @@ def test_master_seed_outside_64_bits_rejected(seed):
 
 
 def test_domain_invariants_surface_as_config_errors():
-    with pytest.raises(ConfigError):
-        build_config({"link.k0": 2.0})
-    with pytest.raises(ConfigError):
-        build_config({"tx.sample_rate": 1e4})
+    for values in ({"link.k0": 2.0}, {"tx.sample_rate": 1e4},
+                   {"tx.bit_rate": 0}, {"tx.bit_rate": -250}):
+        with pytest.raises(ConfigError):
+            build_config(values)
+
+
+@pytest.mark.parametrize("key,raw", [("link.noise_rms", "nan"), ("sim.duration_s", "nan"),
+                                     ("tx.sample_rate", "inf"),
+                                     ("sim.poll_interval_s", "inf")])
+def test_non_finite_values_rejected(tmp_path, key, raw):
+    # NaN slips past every ordered range check and infinity past most (nan
+    # noise ran noiseless, nan duration ran no sessions, an infinite poll
+    # interval ran one), so file and dict input are both refused.
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"{key} = {raw}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=key):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=key):
+        build_config({key: float(raw)})
+
+
+def test_non_finite_script_value_rejected():
+    with pytest.raises(ConfigError, match="script"):
+        build_config(script=[ScriptStep(float("nan"), 25, 1450, 230, 1.5)])
 
 
 def test_session_must_fit_poll_interval():

@@ -4,10 +4,9 @@ from dataclasses import replace
 
 import pytest
 
-from iptsim.config import ScriptStep, build_config
+from iptsim.config import ScriptStep, build_config, session_airtime_s
 from iptsim.harness import (NoFeasibleRateError, SweepResult, TraceRecord,
-                            ber_sweep, emit_csv, max_data_rate, run_scenario,
-                            session_airtime_s)
+                            ber_sweep, emit_csv, max_data_rate, run_scenario)
 from iptsim.usart import actual_baud
 
 

@@ -1,176 +1,176 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
-from iptsim.modem import (LengthMismatchError, RxParams, TxParams, demodulate,
-                          envelope_detect, gate_carrier, hf_filter,
-                          level_convert, lowpass_stage, switch_drive)
-from iptsim.waveform import Waveform
+from iptsim.channel import CoilPair, LinkParams
+from iptsim.modem import RxParams, TxParams, lowpass_coeffs
+from iptsim.simulate import _LineChain, noise_rms_for_snr, run_line
 
 FS = 1e6
+# Resonant at 10 kHz: a 0.05 m gap gives a link gain of about 0.17, so the
+# 10 V drive swing settles near 0.86 V, well above the fixture threshold.
+LINK = LinkParams(CoilPair(1e-3, 1e-3, 2.5330296e-7, 0.6, 0.04), gap=0.05)
+Q = 10.0
+
+
+def _chain(tx, rx):
+    return _LineChain(LINK, tx, rx, Q, 0)
 
 
 def _tone(freq, fs, n, amp=1.0):
-    return Waveform(fs, amp * np.sin(2 * np.pi * freq * np.arange(n) / fs))
+    return amp * np.sin(2 * np.pi * freq * np.arange(n) / fs)
 
 
-def _steady_amplitude(wave, tail=0.5):
-    n = len(wave)
-    seg = wave.samples[int(n * (1 - tail)):]
+def _steady_amplitude(x, tail=0.5):
+    seg = x[int(x.size * (1 - tail)):]
     return math.sqrt(2.0) * float(np.sqrt(np.mean(seg ** 2)))
 
 
-# ---- gate_carrier -----------------------------------------------------------
-
-def test_gate_carrier_all_zero_bits(tx_params):
-    w = gate_carrier([0, 0, 0], tx_params)
-    assert np.all(w.samples == 0.0)
+def _drive(bits, tx, rx, k0=0):
+    x, _, _ = _chain(tx, rx).drive(np.asarray(bits, dtype=np.uint8), k0)
+    return x
 
 
-def test_gate_carrier_cycle_count(tx_params):
+# ---- drive stage: carrier gating ---------------------------------------------
+
+def test_gate_carrier_all_zero_bits(tx_params, rx_params):
+    assert np.all(_drive([0, 0, 0], tx_params, rx_params) == 0.0)
+
+
+def test_gate_carrier_cycle_count(tx_params, rx_params):
     # One bit at 250 bit/s under a 10 kHz carrier holds 40 full cycles.
-    w = gate_carrier([1], tx_params)
-    x = w.samples
-    rising = np.count_nonzero((x[:-1] <= 0) & (x[1:] > 0))
-    assert len(w) == 4000
-    assert rising == 40
+    x = _drive([1], tx_params, rx_params)
+    switch_ons = np.count_nonzero((x[:-1] == 0) & (x[1:] != 0))
+    assert x.size == 4000
+    assert switch_ons == 40
 
 
-def test_gate_carrier_gating_boundary(tx_params):
-    w = gate_carrier([1, 0], tx_params)
-    first, second = w.samples[:4000], w.samples[4000:]
+def test_gate_carrier_gating_boundary(tx_params, rx_params):
+    x = _drive([1, 0], tx_params, rx_params)
+    first, second = x[:4000], x[4000:]
     assert np.any(first != 0.0)
     assert np.all(second == 0.0)
 
 
-def test_gate_carrier_phase_continuous(tx_params):
-    w = gate_carrier([1, 1], tx_params)
-    idx = np.arange(8000)
-    expected = np.sin(2 * np.pi * tx_params.carrier_freq / FS * idx)
-    assert np.array_equal(w.samples, expected)
+def test_gate_carrier_phase_continuous(tx_params, rx_params):
+    # The carrier phase runs on across bits, and across chunks that start
+    # at a later bit index.
+    both = _drive([1, 1], tx_params, rx_params)
+    carrier = np.sin(2 * np.pi * tx_params.carrier_freq / FS * np.arange(8000))
+    assert np.array_equal(both != 0.0, carrier > 0.0)
+    assert np.array_equal(_drive([1], tx_params, rx_params, k0=1), both[4000:])
 
 
-def test_gate_carrier_rejects_empty(tx_params):
+def test_gate_carrier_rejects_empty(tx_params, rx_params):
     with pytest.raises(ValueError):
-        gate_carrier([], tx_params)
+        run_line([], LINK, tx_params, rx_params, Q, 0)
 
 
-def test_gate_carrier_rejects_non_bits(tx_params):
+def test_gate_carrier_rejects_non_bits(tx_params, rx_params):
     with pytest.raises(ValueError):
-        gate_carrier([0, 2, 1], tx_params)
+        run_line([0, 2, 1], LINK, tx_params, rx_params, Q, 0)
 
 
-# ---- switch_drive -----------------------------------------------------------
+# ---- drive stage: switching transistor ---------------------------------------
 
-def test_switch_drive_cutoff_gives_vcc():
+def test_switch_drive_cutoff_gives_vcc(rx_params):
     p = TxParams(10e3, 1e6, 250, vcc=12.0, rc_load=100.0, ic_on=0.0)
-    w = switch_drive(Waveform(1e6, np.ones(100)), p)
-    assert np.all(w.samples == 12.0)
+    assert np.all(p.vcc + _drive([1], p, rx_params) == 12.0)
 
 
-def test_switch_drive_on_level(tx_params):
-    w = switch_drive(Waveform(1e6, np.ones(10)), tx_params)
-    assert np.all(w.samples == 2.0)  # 12 - 0.1 * 100
+def test_switch_drive_on_level(tx_params, rx_params):
+    x = _drive([1], tx_params, rx_params)
+    assert np.all(tx_params.vcc + x[x != 0.0] == 2.0)  # 12 - 0.1 * 100
 
 
-def test_switch_drive_two_level_output(tx_params):
-    control = Waveform(1e6, np.tile([1.0, -1.0, 0.5, 0.0], 25))
-    out = switch_drive(control, tx_params)
-    assert set(np.unique(out.samples)) == {2.0, 12.0}
+def test_switch_drive_two_level_output(tx_params, rx_params):
+    out = tx_params.vcc + _drive([1, 0], tx_params, rx_params)
+    assert set(np.unique(out)) == {2.0, 12.0}
 
 
-# ---- hf_filter --------------------------------------------------------------
+# ---- HF filter stage ---------------------------------------------------------
 
 def test_single_stage_attenuation_at_cutoff():
-    wave = _tone(20e3, 1e6, 5000)
-    out = lowpass_stage(wave, 20e3)
+    out = lfilter(*lowpass_coeffs(20e3, 1e6), _tone(20e3, 1e6, 5000))
     assert _steady_amplitude(out) == pytest.approx(1 / math.sqrt(2), rel=0.01)
 
 
-def test_two_stage_attenuation_at_ten_times_cutoff(rx_params):
+def test_two_stage_attenuation_at_ten_times_cutoff(tx_params, rx_params):
     # 20x oversampling of the tone keeps the discrete stage close to the
     # analog magnitude 1/sqrt(101) per stage.
-    wave = _tone(200e3, 4e6, 40000)
-    out = hf_filter(wave, rx_params)
+    chain = _chain(replace(tx_params, sample_rate=4e6), rx_params)
+    out = chain.filter_hf(_tone(200e3, 4e6, 40000))
     assert _steady_amplitude(out) == pytest.approx(1.0 / 101.0, rel=0.10)
 
 
-def test_hf_filter_passes_dc(rx_params):
-    wave = Waveform(1e6, np.full(2000, 0.7))
-    out = hf_filter(wave, rx_params)
-    assert out.samples[-1] == pytest.approx(0.7, rel=1e-6)
+def test_hf_filter_passes_dc(tx_params, rx_params):
+    out = _chain(tx_params, rx_params).filter_hf(np.full(2000, 0.7))
+    assert out[-1] == pytest.approx(0.7, rel=1e-6)
 
 
-def test_hf_filter_superposition(rx_params):
+def test_hf_filter_superposition(tx_params, rx_params):
     rng = np.random.default_rng(11)
     x, y = rng.normal(size=3000), rng.normal(size=3000)
-    fx = hf_filter(Waveform(1e6, x), rx_params).samples
-    fy = hf_filter(Waveform(1e6, y), rx_params).samples
-    fxy = hf_filter(Waveform(1e6, x + y), rx_params).samples
+    fx, fy, fxy = (_chain(tx_params, rx_params).filter_hf(v) for v in (x, y, x + y))
     assert np.allclose(fxy, fx + fy, rtol=1e-9, atol=1e-12)
 
 
-def test_hf_filter_rejects_empty(rx_params):
-    with pytest.raises(ValueError):
-        hf_filter(Waveform(1e6, np.array([])), rx_params)
+# ---- envelope stage ----------------------------------------------------------
+
+def test_envelope_zero_input(tx_params, rx_params):
+    out = _chain(tx_params, rx_params).envelope(np.zeros(1000))
+    assert np.all(out == 0.0)
 
 
-# ---- envelope_detect --------------------------------------------------------
-
-def test_envelope_zero_input(rx_params):
-    out = envelope_detect(Waveform(1e6, np.zeros(1000)), rx_params)
-    assert np.all(out.samples == 0.0)
-
-
-def test_envelope_settles_to_mean_rectified_sine(rx_params):
+def test_envelope_settles_to_mean_rectified_sine(tx_params, rx_params):
     tau_samples = int(rx_params.envelope_tau * 1e6)
-    wave = _tone(10e3, 1e6, 40 * tau_samples)
-    env = envelope_detect(wave, rx_params).samples
+    env = _chain(tx_params, rx_params).envelope(_tone(10e3, 1e6, 40 * tau_samples))
     settled = env[5 * tau_samples:]
     assert np.all(np.abs(settled - 2 / np.pi) <= 0.05 * 2 / np.pi)
 
 
-def test_envelope_decay_after_burst(rx_params):
+def test_envelope_decay_after_burst(tx_params, rx_params):
     tau_samples = int(rx_params.envelope_tau * 1e6)
-    burst = _tone(10e3, 1e6, 4000).samples
-    wave = Waveform(1e6, np.concatenate([burst, np.zeros(8000)]))
-    env = envelope_detect(wave, rx_params).samples
+    wave = np.concatenate([_tone(10e3, 1e6, 4000), np.zeros(8000)])
+    env = _chain(tx_params, rx_params).envelope(wave)
     peak = env.max()
     assert env[4000 + 3 * tau_samples] < 0.05 * peak
 
 
-def test_envelope_non_negative(rx_params):
+def test_envelope_non_negative(tx_params, rx_params):
     rng = np.random.default_rng(5)
-    env = envelope_detect(Waveform(1e6, rng.normal(size=5000)), rx_params)
-    assert np.all(env.samples >= 0.0)
+    env = _chain(tx_params, rx_params).envelope(rng.normal(size=5000))
+    assert np.all(env >= 0.0)
 
 
-# ---- level_convert ----------------------------------------------------------
+# ---- comparator stage --------------------------------------------------------
 
-def test_level_convert_zero_input(rx_params):
-    out = level_convert(Waveform(1e6, np.zeros(500)), rx_params)
-    assert np.all(out.samples == 0.0)
-
-
-def test_level_convert_high_input(rx_params):
-    out = level_convert(Waveform(1e6, np.full(500, 2 * rx_params.threshold)), rx_params)
-    assert np.all(out.samples == rx_params.v_logic_high)
+def test_level_convert_zero_input(tx_params, rx_params):
+    out = _chain(tx_params, rx_params).compare(np.zeros(500))
+    assert not np.any(out)
 
 
-def test_level_convert_ramp_single_transition_pair(rx_params):
+def test_level_convert_high_input(tx_params, rx_params):
+    out = _chain(tx_params, rx_params).compare(np.full(500, 2 * rx_params.threshold))
+    assert np.all(out)
+
+
+def test_level_convert_ramp_single_transition_pair(tx_params, rx_params):
     up = np.linspace(0, 2 * rx_params.threshold, 5000)
     ramp = np.concatenate([up, up[::-1]])
-    out = level_convert(Waveform(1e6, ramp), rx_params).samples
-    transitions = np.count_nonzero(np.diff(out) != 0)
+    out = _chain(tx_params, rx_params).compare(ramp)
+    transitions = np.count_nonzero(np.diff(out))
     assert transitions == 2
-    assert set(np.unique(out)) == {0.0, rx_params.v_logic_high}
+    assert set(np.unique(out)) == {False, True}
 
 
-def test_level_convert_transitions_bounded_by_band_crossings(rx_params):
+def test_level_convert_transitions_bounded_by_band_crossings(tx_params, rx_params):
     rng = np.random.default_rng(17)
     x = np.abs(rng.normal(rx_params.threshold, rx_params.threshold, 20000))
-    out = level_convert(Waveform(1e6, x), rx_params).samples
+    out = _chain(tx_params, rx_params).compare(x)
     # A band crossing is a change between consecutive out-of-band sides
     # (above the high limit vs. below the low one), plus the first side
     # when it starts high (the comparator starts low).
@@ -179,49 +179,40 @@ def test_level_convert_transitions_bounded_by_band_crossings(rx_params):
     side[x < rx_params.threshold * 0.9] = -1
     sides = side[side != 0]
     crossings = np.count_nonzero(np.diff(sides) != 0) + (sides[0] == 1)
-    assert np.count_nonzero(np.diff(out) != 0) <= crossings
+    assert np.count_nonzero(np.diff(out)) <= crossings
 
 
-# ---- demodulate -------------------------------------------------------------
+# ---- whole chain -------------------------------------------------------------
 
 def test_loopback_all_byte_patterns(tx_params, rx_params):
     for value in range(256):
         bits = [(value >> i) & 1 for i in range(8)]
-        rx = demodulate(gate_carrier(bits, tx_params), rx_params, tx_params.bit_rate)
-        assert rx.tolist() == bits, f"byte 0x{value:02X} corrupted"
+        mids, _ = run_line(bits, LINK, tx_params, rx_params, Q, 0)
+        assert mids.tolist() == bits, f"byte 0x{value:02X} corrupted"
 
 
 def test_demodulate_all_zero_waveform(tx_params, rx_params):
-    wave = Waveform(1e6, np.zeros(8 * 4000))
-    assert demodulate(wave, rx_params, tx_params.bit_rate).tolist() == [0] * 8
-
-
-def test_demodulate_length_mismatch(tx_params, rx_params):
-    with pytest.raises(LengthMismatchError):
-        demodulate(Waveform(1e6, np.zeros(4100)), rx_params, tx_params.bit_rate)
+    mids, _ = run_line([0] * 8, LINK, tx_params, rx_params, Q, 0)
+    assert mids.tolist() == [0] * 8
 
 
 def test_loopback_at_20db_snr(tx_params, rx_params):
-    rng = np.random.default_rng(2024)
-    bits = rng.integers(0, 2, 10_000)
-    clean = gate_carrier(bits, tx_params)
-    sigma = (1 / math.sqrt(2)) / 10 ** (20 / 20)  # mark-state SNR of 20 dB
-    noisy = Waveform(1e6, clean.samples + rng.normal(0, sigma, len(clean)))
-    out = demodulate(noisy, rx_params, tx_params.bit_rate)
-    ber = np.count_nonzero(out != bits) / bits.size
+    bits = np.random.default_rng(2024).integers(0, 2, 10_000)
+    link = replace(LINK, noise_rms=noise_rms_for_snr(LINK, tx_params, Q, 20.0))
+    mids, _ = run_line(bits, link, tx_params, rx_params, Q, 2024)
+    ber = np.count_nonzero(mids != bits) / bits.size
     assert ber < 1e-3
 
 
 def test_ber_non_increasing_in_noise(tx_params, rx_params):
-    rng = np.random.default_rng(31)
-    bits = rng.integers(0, 2, 3000)
-    clean = gate_carrier(bits, tx_params).samples
-    unit_noise = np.random.default_rng(77).normal(0, 1, clean.size)
+    # One seed, so every run scales the same unit-variance noise draw.
+    bits = np.random.default_rng(31).integers(0, 2, 3000)
+    mark_rms = noise_rms_for_snr(LINK, tx_params, Q, 0.0)
     bers = []
-    for sigma in (1.0, 0.5, 0.1):
-        out = demodulate(Waveform(1e6, clean + sigma * unit_noise), rx_params,
-                         tx_params.bit_rate)
-        bers.append(np.count_nonzero(out != bits) / bits.size)
+    for sigma in (2.0, 1.0, 0.1):
+        link = replace(LINK, noise_rms=sigma * mark_rms)
+        mids, _ = run_line(bits, link, tx_params, rx_params, Q, 77)
+        bers.append(np.count_nonzero(mids != bits) / bits.size)
     assert bers[0] >= bers[1] >= bers[2]
     assert bers[2] == 0.0
 

@@ -1,4 +1,4 @@
-"""The streaming line pipeline must match the whole-waveform operators."""
+"""The streamed line chain must match the whole-array reference in conftest."""
 
 from dataclasses import replace
 
@@ -7,25 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iptsim import simulate
-from iptsim.channel import propagate
 from iptsim.harness import frame_line_bits
-from iptsim.modem import demodulate, gate_carrier, logic_waveform, switch_drive
-from iptsim.simulate import (derived_envelope_tau, derived_hf_cutoff,
+from iptsim.simulate import (_LineChain, derived_envelope_tau, derived_hf_cutoff,
                              mark_envelope, noise_rms_for_snr, run_line)
 from iptsim.usart import UsartRx
-from iptsim.waveform import Waveform
 
-
-def _received(bits, cfg, seed):
-    """Literal operator chain the streaming path mirrors, up to the receiver."""
-    carrier = gate_carrier(bits, cfg.tx)
-    drive = switch_drive(carrier, cfg.tx)
-    coupled = Waveform(drive.sample_rate, drive.samples - cfg.tx.vcc)
-    return propagate(coupled, cfg.link, cfg.q_factor, cfg.tx.carrier_freq, seed)
-
-
-def _composed_reference(bits, cfg, seed):
-    return demodulate(_received(bits, cfg, seed), cfg.rx, cfg.tx.bit_rate)
+from conftest import reference_logic, reference_mids
 
 
 class _RecordingRx(UsartRx):
@@ -45,7 +32,7 @@ def test_run_line_matches_composed_ops_noiseless(baseline_cfg):
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2, 40).astype(np.uint8)
     mids, _ = run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 0)
-    assert np.array_equal(mids, _composed_reference(bits, cfg, 0))
+    assert np.array_equal(mids, reference_mids(bits, cfg, 0))
 
 
 def test_run_line_matches_composed_ops_noisy_multichunk(baseline_cfg):
@@ -55,24 +42,24 @@ def test_run_line_matches_composed_ops_noisy_multichunk(baseline_cfg):
     rng = np.random.default_rng(21)
     bits = rng.integers(0, 2, 600).astype(np.uint8)
     mids, _ = run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 77)
-    assert np.array_equal(mids, _composed_reference(bits, cfg, 77))
+    assert np.array_equal(mids, reference_mids(bits, cfg, 77))
 
 
 @pytest.mark.parametrize("bit_rate", [413.0, 1000.0])
 def test_run_line_x16_feed_matches_loop_reference(baseline_cfg, bit_rate):
-    # The receiver must see the whole-waveform logic level at round(j * spb/16)
+    # The receiver must see the reference logic level at round(j * spb/16)
     # for every grid point j inside the stream, found here with a scalar loop.
     # At 1000 bit/s the stride is 62.5 samples, so every other point is a tie.
     cfg = replace(baseline_cfg, tx=replace(baseline_cfg.tx, bit_rate=bit_rate))
     bits = np.random.default_rng(21).integers(0, 2, 600).astype(np.uint8)
     rx = _RecordingRx(cfg.usart)
     run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 77, usart_rx=rx)
-    logic = logic_waveform(_received(bits, cfg, 77), cfg.rx).samples
+    logic = reference_logic(bits, cfg, 77)
     stride = cfg.tx.sample_rate / cfg.tx.bit_rate / 16
     positions = []
     while round(len(positions) * stride) < logic.size:
         positions.append(round(len(positions) * stride))
-    expected = (logic[positions] > cfg.rx.v_logic_high / 2).astype(int).tolist()
+    expected = logic[positions].astype(int).tolist()
     assert rx.levels == expected
 
 
@@ -139,15 +126,9 @@ def test_mark_envelope_closed_form(baseline_cfg):
 def test_mark_envelope_matches_simulation(baseline_cfg):
     # The closed form should agree with an actual settled idle-carrier run.
     cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, noise_rms=0.0))
-    from iptsim.modem import envelope_detect, hf_filter
-    from iptsim.channel import propagate
-    from iptsim.modem import gate_carrier, switch_drive
-    idle = gate_carrier([1] * 10, cfg.tx)
-    drive = switch_drive(idle, cfg.tx)
-    coupled = Waveform(drive.sample_rate, drive.samples - cfg.tx.vcc)
-    received = propagate(coupled, cfg.link, cfg.q_factor, cfg.tx.carrier_freq,
-                         noise_seed=0)
-    env = envelope_detect(hf_filter(received, cfg.rx), cfg.rx).samples
+    chain = _LineChain(cfg.link, cfg.tx, cfg.rx, cfg.q_factor, noise_seed=0)
+    drive, _, _ = chain.drive(np.ones(10, dtype=np.uint8), 0)
+    env = chain.envelope(chain.filter_hf(chain.couple(drive)))
     settled = float(np.mean(env[len(env) // 2:]))
     assert settled == pytest.approx(mark_envelope(cfg.link, cfg.tx, cfg.q_factor),
                                     rel=0.02)
