@@ -9,7 +9,7 @@ moving the carrier up (more carrier cycles per bit for the filter to chew on).
 import sys
 from pathlib import Path
 
-from iptsim.config import load_config, with_carrier, with_filter_order
+from iptsim.config import load_config, with_carrier, with_settings
 from iptsim.harness import max_data_rate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -20,7 +20,7 @@ def main() -> int:
     base = load_config(str(ROOT / "configs" / "baseline.cfg"))
     rows = []
     for order in (1, 2, 3):
-        cfg = with_filter_order(base, order)
+        cfg = with_settings(base, {"sim.filter_order": order})
         res = max_data_rate(cfg, BER_CEILING)
         rows.append((f"10 kHz carrier, order {order}", res))
     for carrier in (20e3, 40e3):

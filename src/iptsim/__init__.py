@@ -14,20 +14,20 @@ from .harness import (MaxRateResult, NoFeasibleRateError, ScenarioReport,
                       max_data_rate, run_scenario)
 from .modem import RxParams, TxParams
 from .seeds import derive_seed, mix64
+from .simulate import as_bits
 from .telemetry import (FaultSet, MotorState, ProximityParams, Thresholds,
                         classify_faults, decode_frame, encode_frame,
                         encode_poll, proximity_pulses, render_display,
                         speed_from_pulses)
 from .usart import (UsartConfig, UsartRx, UsartTx, actual_baud, brg_divisor,
                     frame_encode)
-from .waveform import Waveform, as_bits
 
 __all__ = [
     "CoilPair", "ConfigError", "FaultSet", "LinkParams",
     "MaxRateResult", "MotorState", "NoFeasibleRateError", "ProximityParams",
     "RxParams", "ScenarioConfig", "ScenarioReport", "ScriptStep",
     "SweepResult", "Thresholds", "TraceRecord", "TxParams", "UsartConfig",
-    "UsartRx", "UsartTx", "Waveform", "actual_baud", "as_bits", "ber_sweep",
+    "UsartRx", "UsartTx", "actual_baud", "as_bits", "ber_sweep",
     "brg_divisor", "build_config", "classify_faults", "coupling_coefficient",
     "decode_frame", "derive_seed", "emit_csv", "encode_frame", "encode_poll",
     "frame_encode", "load_config", "max_data_rate", "mix64",

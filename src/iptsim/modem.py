@@ -47,7 +47,7 @@ class TxParams:
 
 @dataclass(frozen=True)
 class RxParams:
-    """Receiver settings: filter corner, envelope smoothing, comparator levels.
+    """Receiver settings: filter corner, envelope smoothing, comparator threshold.
 
     envelope_order cascades that many identical RC smoothing sections; one
     section is the plain rectifier-plus-RC detector.
@@ -56,7 +56,6 @@ class RxParams:
     hf_cutoff: float       # Hz, per-stage corner of the noise filter
     envelope_tau: float    # s, per-section smoothing time constant
     threshold: float       # V, comparator center
-    v_logic_high: float    # V, logic-high output level
     envelope_order: int = 1
 
     def __post_init__(self):
@@ -64,8 +63,8 @@ class RxParams:
             raise ValueError("hf_cutoff must be positive")
         if self.envelope_tau <= 0:
             raise ValueError("envelope_tau must be positive")
-        if not 0 < self.threshold < self.v_logic_high:
-            raise ValueError("threshold must lie strictly between 0 and v_logic_high")
+        if self.threshold <= 0:
+            raise ValueError("threshold must be positive")
         if self.envelope_order < 1:
             raise ValueError("envelope_order must be at least 1")
 

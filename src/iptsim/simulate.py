@@ -28,7 +28,6 @@ from .channel import LinkParams, voltage_gain
 from .modem import (HYSTERESIS_FRACTION, RxParams, TxParams, hysteresis_compare,
                     lowpass_coeffs, smoothing_coeffs)
 from .usart import UsartRx
-from .waveform import as_bits
 
 # Receiver derivation rules.  The envelope smoother must knock the
 # carrier-rate ripple of the rectified drive down by about RIPPLE_REJECTION;
@@ -80,6 +79,16 @@ def noise_rms_for_snr(link: LinkParams, tx: TxParams, q_factor: float,
     """
     swing = tx.ic_on * tx.rc_load * voltage_gain(link, tx.carrier_freq, q_factor)
     return (swing / math.sqrt(2.0)) / (10.0 ** (snr_db / 20.0))
+
+
+def as_bits(bits) -> np.ndarray:
+    """Validate a 0/1 sequence and return it as a uint8 array."""
+    arr = np.asarray(bits)
+    if arr.ndim != 1:
+        raise ValueError("bit stream must be one-dimensional")
+    if arr.size and not np.all((arr == 0) | (arr == 1)):
+        raise ValueError("bit stream elements must be exactly 0 or 1")
+    return arr.astype(np.uint8)
 
 
 class _LineChain:

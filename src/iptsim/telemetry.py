@@ -24,8 +24,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .waveform import Waveform
-
 SOF = 0xAA
 VERSION = 0x01
 
@@ -314,18 +312,20 @@ def classify_faults(state: MotorState, th: Thresholds, prev: FaultSet) -> FaultS
     return FaultSet(mask)
 
 
-def proximity_pulses(distance_signal: Waveform, p: ProximityParams) -> np.ndarray:
+def proximity_pulses(distance, p: ProximityParams) -> np.ndarray:
     """Switch output of the proximity sensor against a target distance trace.
 
-    The input waveform carries target distance in meters.  Output is 1
+    distance is a sampled trace of the target distance in meters.  Output is 1
     while the target sits inside the sensing range (oscillator killed).
     Switching uses a hysteresis band of width p.hysteresis centred on the
     range, and every completed switch re-draws a Gaussian offset of the
     effective switch distance (seeded, sigma = repeatability_sigma).
     """
-    d = distance_signal.samples
-    if d.size == 0:
-        raise ValueError("proximity_pulses requires a non-empty distance signal")
+    d = np.asarray(distance, dtype=np.float64)
+    if d.ndim != 1 or d.size == 0:
+        raise ValueError("distance must be a non-empty one-dimensional array")
+    if not np.all(np.isfinite(d)):
+        raise ValueError("distance samples must be finite (no NaN or infinity)")
     rng = np.random.default_rng(p.rng_seed)
     half = p.hysteresis / 2.0
     out = np.zeros(d.size, dtype=np.uint8)

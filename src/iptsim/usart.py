@@ -144,7 +144,6 @@ class UsartTx:
     def __init__(self, cfg: UsartConfig, txen: bool = False):
         self.cfg = cfg
         self.txen = txen
-        self.txie = False  # interrupt enable, readable only; no interrupt logic
         self._txreg: tuple[int, int | None] | None = None
         self._tsr: list[int] | None = None
         self._tsr_idx = 0
@@ -217,7 +216,6 @@ class UsartRx:
     def __init__(self, cfg: UsartConfig, cren: bool = True):
         self.cfg = cfg
         self.cren = cren
-        self.rcie = False  # interrupt enable, readable only; no interrupt logic
         self.oerr = False
         self._fifo: deque[tuple[int, bool]] = deque()
         self._prev: int | None = None

@@ -74,7 +74,7 @@ def tx_params():
 def rx_params():
     # Threshold at 30% of the settled unit-carrier envelope (2/pi).
     return RxParams(hf_cutoff=20e3, envelope_tau=400e-6,
-                    threshold=0.3 * 2 / 3.141592653589793, v_logic_high=5.0)
+                    threshold=0.3 * 2 / 3.141592653589793)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from iptsim.config import build_config, with_carrier, with_filter_order
+from iptsim.config import build_config, with_carrier, with_settings
 from iptsim.harness import ber_sweep, emit_csv, max_data_rate, run_scenario
 from iptsim.modem import lowpass_coeffs
 from iptsim.simulate import _LineChain, run_line
@@ -23,7 +23,6 @@ from iptsim.telemetry import (FaultSet, FrameError, MotorState, ProximityParams,
                               encode_frame, proximity_pulses, speed_from_pulses)
 from iptsim.usart import (UsartConfig, UsartRx, UsartTx, actual_baud, brg_divisor,
                           frame_encode)
-from iptsim.waveform import Waveform
 
 from conftest import bits_to_levels_x16
 
@@ -63,7 +62,7 @@ def test_c2_ten_cm_air_gap(baseline):
 def test_c3_filter_order_and_carrier_comparisons(baseline, baseline_maxrate):
     """A second filter section raises the max rate; a faster carrier never lowers it."""
     base_rate = baseline_maxrate[0].rate_bps
-    second_order = max_data_rate(with_filter_order(baseline, 2), BER_CEILING)
+    second_order = max_data_rate(with_settings(baseline, {"sim.filter_order": 2}), BER_CEILING)
     assert second_order.rate_bps > base_rate
     fast_carrier = max_data_rate(with_carrier(baseline, 20e3), BER_CEILING)
     assert fast_carrier.rate_bps >= base_rate
@@ -208,8 +207,7 @@ def test_c6_telemetry_suite():
     fs = 2e4
     cycles = 6
     t = np.arange(int(cycles * fs)) / fs
-    wave = Waveform(fs, 6e-3 + 3e-3 * np.sin(2 * np.pi * t))
-    pulses = proximity_pulses(wave, prox)
+    pulses = proximity_pulses(6e-3 + 3e-3 * np.sin(2 * np.pi * t), prox)
     rising = int(np.count_nonzero((pulses[1:] == 1) & (pulses[:-1] == 0)))
     assert rising == cycles
 

@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import pytest
 
 from iptsim.config import (ConfigError, ScriptStep, build_config, load_config,
-                           parse_config_text, with_carrier, with_filter_order)
+                           parse_config_text, with_carrier, with_settings)
 from iptsim.channel import resonant_frequency
 
 
@@ -78,7 +79,7 @@ def test_filter_order_validated(baseline_cfg):
         build_config({"sim.filter_order": 4})
     for order in (0, 4):
         with pytest.raises(ConfigError, match="filter_order"):
-            with_filter_order(baseline_cfg, order)
+            with_settings(baseline_cfg, {"sim.filter_order": order})
 
 
 def test_integer_keys_parse_exactly():
@@ -88,10 +89,22 @@ def test_integer_keys_parse_exactly():
 
 
 @pytest.mark.parametrize("text", ["sim.filter_order = 2.9", "sim.filter_order = 2.0",
-                                  "usart.spbrg = 1e2", "sim.master_seed = 7.5"])
+                                  "usart.spbrg = 1e2", "sim.master_seed = 7.5",
+                                  {"sim.master_seed": 1.5}, {"usart.spbrg": 100.7},
+                                  {"sim.filter_order": 2.0}, {"link.gap": True}], ids=str)
 def test_fractional_integer_text_rejected(text):
-    with pytest.raises(ConfigError, match=text.split(" ")[0]):
-        parse_config_text(text + "\n")
+    # Dict input follows the same type rules as file text.
+    if isinstance(text, dict):
+        with pytest.raises(ConfigError, match=next(iter(text))):
+            build_config(text)
+    else:
+        with pytest.raises(ConfigError, match=text.split(" ")[0]):
+            parse_config_text(text + "\n")
+
+
+def test_string_values_parse_as_file_text():
+    cfg = build_config({"link.gap": "0.05", "sim.master_seed": "7", "usart.brgh": "no"})
+    assert (cfg.link.gap, cfg.master_seed, cfg.usart.brgh) == (0.05, 7, False)
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
@@ -136,14 +149,13 @@ def test_session_must_fit_poll_interval():
 def test_explicit_noise_overrides_snr():
     cfg = build_config({"link.noise_rms": 0.02})
     assert cfg.link.noise_rms == 0.02
-    assert cfg.snr_db is None
     # a carrier variant keeps the pinned noise rather than re-deriving it
     assert with_carrier(cfg, 20e3).link.noise_rms == 0.02
 
 
 def test_filter_order_shrinks_envelope_tau():
     base = build_config()
-    faster = with_filter_order(base, 2)
+    faster = with_settings(base, {"sim.filter_order": 2})
     assert faster.rx.envelope_order == 2
     assert faster.rx.envelope_tau < base.rx.envelope_tau
     assert faster.rx.threshold == base.rx.threshold
@@ -160,6 +172,20 @@ def test_with_carrier_retunes_tank():
 
 def test_envelope_tau_order_rule():
     base = build_config()
-    third = with_filter_order(base, 3)
+    third = with_settings(base, {"sim.filter_order": 3})
     expected = (8 * math.pi) ** (1 / 3) / (2 * math.pi * 10e3)
     assert third.rx.envelope_tau == pytest.approx(expected, rel=1e-12)
+
+
+def test_with_carrier_keeps_pinned_threshold():
+    cfg = build_config({"rx.threshold": 0.2})
+    assert with_carrier(cfg, 20e3).rx.threshold == 0.2
+
+
+def test_with_no_settings_is_unchanged(baseline_cfg):
+    assert with_settings(baseline_cfg, {}) == baseline_cfg
+
+
+def test_baseline_file_matches_settings_table():
+    shipped = Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
+    assert load_config(str(shipped)).settings == build_config().settings

@@ -231,10 +231,10 @@ def test_tx_params_invariants(kwargs):
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(hf_cutoff=0, envelope_tau=1e-4, threshold=0.1, v_logic_high=5.0),
-    dict(hf_cutoff=20e3, envelope_tau=0, threshold=0.1, v_logic_high=5.0),
-    dict(hf_cutoff=20e3, envelope_tau=1e-4, threshold=6.0, v_logic_high=5.0),
-    dict(hf_cutoff=20e3, envelope_tau=1e-4, threshold=0.1, v_logic_high=5.0, envelope_order=0),
+    dict(hf_cutoff=0, envelope_tau=1e-4, threshold=0.1),
+    dict(hf_cutoff=20e3, envelope_tau=0, threshold=0.1),
+    dict(hf_cutoff=20e3, envelope_tau=1e-4, threshold=0.0),
+    dict(hf_cutoff=20e3, envelope_tau=1e-4, threshold=0.1, envelope_order=0),
 ])
 def test_rx_params_invariants(kwargs):
     with pytest.raises(ValueError):

@@ -9,7 +9,6 @@ from iptsim.telemetry import (BadChecksumError, BadLengthError, BadSofError,
                               encode_frame, encode_poll, proximity_pulses,
                               render_display, scan_frames, speed_from_pulses,
                               MSG_FAULT_ALARM, MSG_POLL, MSG_READING)
-from iptsim.waveform import Waveform
 
 TH = Thresholds(temp_max_c=80.0, speed_max_rpm=3000.0, speed_min_rpm=200.0,
                 volt_max_v=260.0, volt_min_v=180.0, curr_max_a=6.0,
@@ -219,13 +218,14 @@ PROX = ProximityParams(sensing_range=4e-3, hysteresis=0.5e-3,
 
 
 def test_proximity_target_out_of_range():
-    wave = Waveform(1e4, np.full(1000, 20e-3))
-    assert np.all(proximity_pulses(wave, PROX) == 0)
+    assert np.all(proximity_pulses(np.full(1000, 20e-3), PROX) == 0)
+    with pytest.raises(ValueError, match="finite"):
+        proximity_pulses(np.array([20e-3, np.nan, 20e-3]), PROX)
 
 
 def _sinusoid_distance(cycles, fs=2e4):
     t = np.arange(int(cycles * fs)) / fs
-    return Waveform(fs, 6e-3 + 3e-3 * np.sin(2 * np.pi * 1.0 * t))
+    return 6e-3 + 3e-3 * np.sin(2 * np.pi * 1.0 * t)
 
 
 def test_proximity_pulse_count_matches_crossings():
