@@ -87,16 +87,19 @@ def smoothing_coeffs(tau_s: float, sample_rate: float) -> tuple[np.ndarray, np.n
 
 def hysteresis_compare(x: np.ndarray, high: float, low: float,
                        initial: bool = False) -> tuple[np.ndarray, bool]:
-    """Two-threshold comparator over an array, vectorized.
+    """Two-threshold comparator over an array, built from its state changes.
 
     Output turns on above `high`, off below `low`, and holds in between.
-    Returns the boolean output and the final state (for chunked streaming).
+    Only a sample that enters the above-`high` or below-`low` class can
+    change the state, so the output is the runs between those of them that
+    do.  Returns the boolean output and the final state (for chunked
+    streaming).
     """
-    cls = np.zeros(x.size, dtype=np.int8)
-    cls[x > high] = 1
-    cls[x < low] = -1
-    pos = np.where(cls != 0, np.arange(x.size), -1)
-    np.maximum.accumulate(pos, out=pos)
-    out = np.where(pos >= 0, cls[np.maximum(pos, 0)] > 0, initial)
-    state = bool(out[-1]) if out.size else initial
-    return out, state
+    cls = (x > high).view(np.int8) - (x < low).view(np.int8)
+    change = np.flatnonzero(np.diff(cls, prepend=np.int8(0)) != 0)
+    enter = change[cls[change] != 0]
+    level = np.concatenate(([initial], cls[enter] > 0))
+    flip = level[1:] != level[:-1]
+    states = np.concatenate(([initial], level[1:][flip]))
+    out = np.repeat(states, np.diff(enter[flip], prepend=0, append=x.size))
+    return out, bool(states[-1])

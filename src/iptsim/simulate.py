@@ -11,9 +11,11 @@ fed to a receiver instance whose delivered words are collected.
 
 The static collector rail carries no flux, so the link input is the switch
 output minus vcc: zero during 0-bits, a unipolar square at the carrier rate
-during 1-bits.  Processing is chunked with filter/comparator/noise state
+during 1-bits.  Processing is chunked by a fixed budget of samples
+(whole bits, at least one per chunk) with filter/comparator/noise state
 carried across chunks, so arbitrarily long streams run in constant memory
-and the output does not depend on where the chunk boundaries fall.
+at any bit rate, and the output does not depend on where the chunk
+boundaries fall.
 """
 
 from __future__ import annotations
@@ -40,7 +42,12 @@ THRESHOLD_ENVELOPE_FRACTION = 0.3
 
 IDLE_PREAMBLE_BITS = 12
 IDLE_TAIL_BITS = 4
-_CHUNK_BITS = 256
+_CHUNK_SAMPLES = 1 << 16
+# The computed zero crossings m * half_cycle and phases omega * n are off by
+# about n * 1e-16 samples, so rounding can decide the carrier's sign only at a
+# sample this close (in samples) to a nominal zero crossing.  Those samples
+# take their sign from np.sin itself.
+_ZERO_CROSSING_TOLERANCE = 1e-3
 
 
 def derived_hf_cutoff(carrier_freq: float) -> float:
@@ -102,6 +109,7 @@ class _LineChain:
         self.noise_rms = link.noise_rms
         self.on_level = -(tx.ic_on * tx.rc_load)  # drive minus the static rail
         self.omega = 2.0 * np.pi * tx.carrier_freq / tx.sample_rate
+        self.half_cycle = tx.sample_rate / (2.0 * tx.carrier_freq)  # samples
         self.hf = lowpass_coeffs(rx.hf_cutoff, tx.sample_rate)
         self.env = smoothing_coeffs(rx.envelope_tau, tx.sample_rate)
         self.z_hf = [np.zeros(1), np.zeros(1)]
@@ -115,14 +123,23 @@ class _LineChain:
     def drive(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
         """Switch output minus the rail for bits [k0, k0+len), and its sample span.
 
-        The transistor is on while a 1-bit gates a positive carrier, whose
-        phase runs on across bits and chunks.
+        The transistor is on while a 1-bit gates a positive carrier
+        sin(omega * n), whose phase runs on across bits and chunks.  Its
+        sign is expanded from half-cycle runs, as the bits are: half-cycle
+        m starts at m * half_cycle and is positive for even m.
         """
         edges = np.rint((np.arange(bits.size + 1) + k0) * self.spb).astype(np.int64)
         n0, n1 = int(edges[0]), int(edges[-1])
-        carrier = np.sin(self.omega * np.arange(n0, n1))
         on = np.repeat(bits.astype(bool), np.diff(edges))
-        return np.where(on & (carrier > 0.0), self.on_level, 0.0), n0, n1
+        m = np.arange(int(n0 // self.half_cycle), int(-(-n1 // self.half_cycle)) + 1)
+        zeros = m * self.half_cycle
+        starts = np.clip(np.ceil(zeros), n0, n1).astype(np.int64)
+        positive = np.repeat(m[:-1] % 2 == 0, np.diff(starts))
+        near = np.rint(zeros)
+        near = near[(np.abs(near - zeros) < _ZERO_CROSSING_TOLERANCE)
+                    & (near >= n0) & (near < n1)].astype(np.int64)
+        positive[near - n0] = np.sin(self.omega * near) > 0.0
+        return np.where(on & positive, self.on_level, 0.0), n0, n1
 
     def couple(self, x: np.ndarray) -> np.ndarray:
         """Inductive link: scalar gain at the carrier plus Gaussian noise."""
@@ -170,10 +187,11 @@ def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
     if bits.size == 0:
         raise ValueError("run_line requires a non-empty bit stream")
     chain = _LineChain(link, tx, rx, q_factor, noise_seed)
+    chunk_bits = max(1, int(_CHUNK_SAMPLES // chain.spb))
     mids = np.empty(bits.size, dtype=np.uint8)
     received: list[tuple[int, bool]] = []
-    for k0 in range(0, bits.size, _CHUNK_BITS):
-        chunk = bits[k0:k0 + _CHUNK_BITS]
+    for k0 in range(0, bits.size, chunk_bits):
+        chunk = bits[k0:k0 + chunk_bits]
         logic, n0, n1 = chain.process(chunk, k0)
         mid_idx = np.rint((np.arange(k0, k0 + chunk.size) + 0.5) * chain.spb).astype(np.int64)
         mids[k0:k0 + chunk.size] = logic[np.minimum(mid_idx, n1 - 1) - n0]

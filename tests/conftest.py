@@ -39,16 +39,21 @@ def reference_logic(bits, cfg, noise_seed) -> np.ndarray:
     a_env = math.exp(-1.0 / (rx.envelope_tau * fs))
     for _ in range(rx.envelope_order):
         y = lfilter([1.0 - a_env], [1.0, -a_env], y)
-    high = rx.threshold * (1.0 + HYSTERESIS_FRACTION)
-    low = rx.threshold * (1.0 - HYSTERESIS_FRACTION)
-    state, out = False, []
-    for above, below in zip((y > high).tolist(), (y < low).tolist()):
-        if above:
+    out, _ = reference_compare(y, rx.threshold * (1.0 + HYSTERESIS_FRACTION),
+                               rx.threshold * (1.0 - HYSTERESIS_FRACTION))
+    return out
+
+
+def reference_compare(x, high, low, initial=False) -> tuple[np.ndarray, bool]:
+    """Sample-by-sample hysteresis comparator: on above high, off below low."""
+    state, out = initial, []
+    for value in np.asarray(x, dtype=float).tolist():
+        if value > high:
             state = True
-        elif below:
+        elif value < low:
             state = False
         out.append(state)
-    return np.array(out, dtype=bool)
+    return np.array(out, dtype=bool), state
 
 
 def reference_mids(bits, cfg, noise_seed) -> np.ndarray:

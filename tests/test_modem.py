@@ -3,11 +3,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
 from iptsim.channel import CoilPair, LinkParams
-from iptsim.modem import RxParams, TxParams, lowpass_coeffs
+from iptsim.modem import RxParams, TxParams, hysteresis_compare, lowpass_coeffs
 from iptsim.simulate import _LineChain, noise_rms_for_snr, run_line
+
+from conftest import reference_compare
 
 FS = 1e6
 # Resonant at 10 kHz: a 0.05 m gap gives a link gain of about 0.17, so the
@@ -180,6 +183,37 @@ def test_level_convert_transitions_bounded_by_band_crossings(tx_params, rx_param
     sides = side[side != 0]
     crossings = np.count_nonzero(np.diff(sides) != 0) + (sides[0] == 1)
     assert np.count_nonzero(np.diff(out)) <= crossings
+
+
+_HIGH, _LOW = 1.1, 0.9
+_COMPARATOR_VALUES = st.sampled_from([0.0, 0.5, _LOW, 1.0, _HIGH, 2.0])
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(_COMPARATOR_VALUES, max_size=60), initial=st.booleans(),
+       cuts=st.lists(st.integers(0, 60), max_size=4))
+def test_hysteresis_compare_matches_scalar_loop(x, initial, cuts):
+    # Values below low, in the band, above high and exactly on either limit;
+    # the streamed form splits the input at random points and carries the state.
+    x = np.array(x, dtype=float)
+    expected, final = reference_compare(x, _HIGH, _LOW, initial)
+    out, state = hysteresis_compare(x, _HIGH, _LOW, initial)
+    assert out.dtype == bool
+    assert np.array_equal(out, expected) and state == final
+    parts, state = [], initial
+    for part in np.split(x, sorted(min(c, x.size) for c in cuts)):
+        out, state = hysteresis_compare(part, _HIGH, _LOW, state)
+        parts.append(out)
+    assert np.array_equal(np.concatenate(parts), expected) and state == final
+
+
+@pytest.mark.parametrize("initial", [False, True])
+@pytest.mark.parametrize("x", [np.empty(0), np.array([1.0, _HIGH, _LOW, 0.95])],
+                         ids=["empty", "all_in_band"])
+def test_hysteresis_compare_carries_initial_through(x, initial):
+    out, state = hysteresis_compare(x, _HIGH, _LOW, initial)
+    assert out.dtype == bool and out.size == x.size
+    assert np.all(out == initial) and state is initial
 
 
 # ---- whole chain -------------------------------------------------------------

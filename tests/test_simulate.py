@@ -1,5 +1,6 @@
 """The streamed line chain must match the whole-array reference in conftest."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -81,13 +82,18 @@ def test_run_line_feeds_usart(baseline_cfg):
     assert [(w & 0xFF, f) for w, f in received] == [(0xC3, False)]
 
 
-@settings(max_examples=25, deadline=None)
-@given(chunk_bits=st.integers(1, 300), payload=st.binary(min_size=1, max_size=3),
-       gap=st.sampled_from([0.05, 0.15]))
-def test_run_line_independent_of_chunk_size(baseline_cfg, chunk_bits, payload, gap):
-    # At 0.15 m the link makes errors, so the decisions depend on the noise
-    # draw and on filter, comparator and x16 grid state carried across chunks.
-    cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, gap=gap))
+@settings(max_examples=30, deadline=None)
+@given(budget=st.integers(0, 21).flatmap(lambda e: st.integers(2 ** e, 2 ** (e + 1))),
+       payload=st.binary(min_size=1, max_size=3), gap=st.sampled_from([0.05, 0.15]),
+       bit_rate=st.sampled_from([50.0, 250.0]))
+def test_run_line_independent_of_chunk_size(baseline_cfg, budget, payload, gap, bit_rate):
+    # The sample budget runs from one sample (one-bit chunks) past the whole
+    # stream.  Every bit edge at these rates lies on a carrier zero crossing,
+    # so chunks start there too.  At 0.15 m the link makes errors, so the
+    # decisions depend on the noise draw and on filter, comparator and x16
+    # grid state carried across chunks.
+    cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, gap=gap),
+                  tx=replace(baseline_cfg.tx, bit_rate=bit_rate))
     bits = frame_line_bits(payload, cfg)
 
     def run():
@@ -96,10 +102,45 @@ def test_run_line_independent_of_chunk_size(baseline_cfg, chunk_bits, payload, g
 
     ref_mids, ref_words = run()
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(simulate, "_CHUNK_BITS", chunk_bits)
+        mp.setattr(simulate, "_CHUNK_SAMPLES", budget)
         mids, words = run()
     assert np.array_equal(mids, ref_mids)
     assert words == ref_words
+
+
+@pytest.mark.parametrize("carrier,k0", [(10e3, 0), (10e3, 3), (20e3, 1), (40e3, 7),
+                                        (7777.0, 125)])
+def test_drive_matches_sin_carrier_on_every_sample(baseline_cfg, carrier, k0):
+    # At 250 bit/s a bit is 4000 samples, so every k0 starts on a nominal
+    # zero; at 7777 Hz (128.6 samples per cycle) sample 500 000 is half-cycle
+    # 7777.  The first 100 bits are ones, so the carrier is gated through for
+    # 400 k samples; the reference evaluates np.sin on all 1.2 M samples.
+    tx = replace(baseline_cfg.tx, carrier_freq=carrier)
+    chain = _LineChain(baseline_cfg.link, tx, baseline_cfg.rx, baseline_cfg.q_factor, 0)
+    bits = np.random.default_rng(5).integers(0, 2, 300).astype(np.uint8)
+    bits[:100] = 1
+    x, n0, n1 = chain.drive(bits, k0)
+    edges = np.rint((np.arange(bits.size + 1) + k0) * chain.spb).astype(np.int64)
+    on = np.repeat(bits.astype(bool), np.diff(edges))
+    n = np.arange(n0, n1)
+    assert n.size >= 1_000_000
+    expected = np.where(on & (np.sin(chain.omega * n) > 0), chain.on_level, 0.0)
+    assert np.array_equal(x, expected)
+
+
+@pytest.mark.parametrize("bit_rate", [50.0, 250.0, 1000.0])
+def test_run_line_memory_does_not_grow_as_bit_rate_falls(baseline_cfg, bit_rate):
+    # Chunks are sized in samples, so the working set of a 600-bit stream
+    # stays small even at 20 000 samples per bit.
+    cfg = replace(baseline_cfg, tx=replace(baseline_cfg.tx, bit_rate=bit_rate))
+    bits = np.random.default_rng(9).integers(0, 2, 600).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
 
 
 def test_run_line_rejects_empty(baseline_cfg):
