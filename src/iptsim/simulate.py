@@ -16,12 +16,21 @@ during 1-bits.  Processing is chunked by a fixed budget of samples
 carried across chunks, so arbitrarily long streams run in constant memory
 at any bit rate, and the output does not depend on where the chunk
 boundaries fall.
+
+Each chunk runs in two halves.  The transmit half (carrier, gating, link
+gain and the noise draw) runs on one worker thread per call, one chunk
+ahead of the receive half (filters, envelope, comparator, mid-bit
+decisions and the USART feed) on the calling thread.  Only the worker draws
+noise, chunk by chunk in stream order, so the output never depends on
+thread scheduling; the overlap comes from numpy and scipy releasing the
+GIL inside the large array operations.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.signal import lfilter
@@ -167,10 +176,14 @@ class _LineChain:
             env, self.cmp_high, self.cmp_low, self.cmp_state)
         return logic
 
-    def process(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
-        """Logic levels for bits [k0, k0+len) through every stage, and their sample span."""
+    def transmit(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
+        """Link output for bits [k0, k0+len), and its sample span: the worker's half."""
         x, n0, n1 = self.drive(bits, k0)
-        return self.compare(self.envelope(self.filter_hf(self.couple(x)))), n0, n1
+        return self.couple(x), n0, n1
+
+    def receive(self, y: np.ndarray) -> np.ndarray:
+        """Logic levels recovered from a chunk of link output: the caller's half."""
+        return self.compare(self.envelope(self.filter_hf(y)))
 
 
 def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
@@ -182,6 +195,11 @@ def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
     per input bit) and the words delivered by the optional USART receiver,
     which is driven from the x16 decimation of the logic waveform and
     drained after every sub-sample.
+
+    A worker thread, started and joined within the call, runs the transmit
+    half of the next chunk while this thread runs the receive half of the
+    current one, so at most one chunk is in flight.  A failure on the
+    worker is re-raised here.
     """
     bits = as_bits(line_bits)
     if bits.size == 0:
@@ -190,18 +208,23 @@ def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
     chunk_bits = max(1, int(_CHUNK_SAMPLES // chain.spb))
     mids = np.empty(bits.size, dtype=np.uint8)
     received: list[tuple[int, bool]] = []
-    for k0 in range(0, bits.size, chunk_bits):
-        chunk = bits[k0:k0 + chunk_bits]
-        logic, n0, n1 = chain.process(chunk, k0)
-        mid_idx = np.rint((np.arange(k0, k0 + chunk.size) + 0.5) * chain.spb).astype(np.int64)
-        mids[k0:k0 + chunk.size] = logic[np.minimum(mid_idx, n1 - 1) - n0]
-        if usart_rx is not None:
-            grid = np.arange(chain.sub_index, math.ceil(n1 / chain.sub_stride) + 1)
-            sub_idx = np.rint(grid * chain.sub_stride).astype(np.int64)
-            sub_idx = sub_idx[sub_idx < n1]
-            chain.sub_index += sub_idx.size
-            for level in logic[sub_idx - n0]:
-                usart_rx.sample(int(level))
-                if usart_rx.rcif:
-                    received.append(usart_rx.read())
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="run_line") as worker:
+        ahead = worker.submit(chain.transmit, bits[:chunk_bits], 0)
+        for k0 in range(0, bits.size, chunk_bits):
+            y, n0, n1 = ahead.result()
+            k1 = min(k0 + chunk_bits, bits.size)
+            if k1 < bits.size:
+                ahead = worker.submit(chain.transmit, bits[k1:k1 + chunk_bits], k1)
+            logic = chain.receive(y)
+            mid_idx = np.rint((np.arange(k0, k1) + 0.5) * chain.spb).astype(np.int64)
+            mids[k0:k1] = logic[np.minimum(mid_idx, n1 - 1) - n0]
+            if usart_rx is not None:
+                grid = np.arange(chain.sub_index, math.ceil(n1 / chain.sub_stride) + 1)
+                sub_idx = np.rint(grid * chain.sub_stride).astype(np.int64)
+                sub_idx = sub_idx[sub_idx < n1]
+                chain.sub_index += sub_idx.size
+                for level in logic[sub_idx - n0].tolist():
+                    usart_rx.sample(level)
+                    if usart_rx.rcif:
+                        received.append(usart_rx.read())
     return mids, received

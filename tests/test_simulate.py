@@ -1,5 +1,7 @@
 """The streamed line chain must match the whole-array reference in conftest."""
 
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -141,6 +143,103 @@ def test_run_line_memory_does_not_grow_as_bit_rate_falls(baseline_cfg, bit_rate)
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2 ** 20
+
+
+def _recording(calls, fn):
+    """Wrap fn so each call appends the calling thread's identifier to calls."""
+    def wrapper(*args, **kwargs):
+        calls.append(threading.get_ident())
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def test_run_line_traced_stages_stay_on_calling_thread(baseline_cfg, monkeypatch):
+    # perfbench's tracer rebinds these names and keeps one span stack, so
+    # they must never run on the pipeline's worker; the noise draw must.
+    cfg = baseline_cfg
+    bits = frame_line_bits(b"\x5a\xc3\x0f", cfg)
+    traced = {name: [] for name in ("lfilter", "hysteresis_compare", "sample", "read", "couple")}
+    monkeypatch.setattr(simulate, "lfilter", _recording(traced["lfilter"], simulate.lfilter))
+    monkeypatch.setattr(simulate, "hysteresis_compare",
+                        _recording(traced["hysteresis_compare"], simulate.hysteresis_compare))
+    monkeypatch.setattr(UsartRx, "sample", _recording(traced["sample"], UsartRx.sample))
+    monkeypatch.setattr(UsartRx, "read", _recording(traced["read"], UsartRx.read))
+    monkeypatch.setattr(_LineChain, "couple", _recording(traced["couple"], _LineChain.couple))
+    _, received = run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 13,
+                           usart_rx=UsartRx(cfg.usart))
+    assert [w & 0xFF for w, _ in received] == [0x5A, 0xC3, 0x0F]
+    caller = threading.get_ident()
+    assert len(traced["hysteresis_compare"]) > 1  # several chunks
+    for name in ("lfilter", "hysteresis_compare", "sample", "read"):
+        assert traced[name] and set(traced[name]) == {caller}, name
+    assert len(traced["couple"]) == len(traced["hysteresis_compare"])
+    assert caller not in traced["couple"]
+
+
+class _Fault(RuntimeError):
+    pass
+
+
+def test_run_line_reraises_failures_and_joins_its_worker(baseline_cfg, monkeypatch):
+    cfg = baseline_cfg
+    bits = np.random.default_rng(4).integers(0, 2, 60).astype(np.uint8)  # four chunks
+    before = threading.active_count()
+    run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 3)
+    assert threading.active_count() == before
+
+    couple, calls = _LineChain.couple, []
+
+    def failing_couple(chain, x):
+        calls.append(x.size)
+        if len(calls) == 3:
+            raise _Fault("third chunk")
+        return couple(chain, x)
+
+    monkeypatch.setattr(_LineChain, "couple", failing_couple)
+    with pytest.raises(_Fault, match="third chunk"):
+        run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 3)
+    assert len(calls) == 3  # nothing was drawn past the failed chunk
+    assert threading.active_count() == before
+
+    # A failure in the receive half waits for the chunk in flight, then raises.
+    def failing_sample(rx, level):
+        raise _Fault("receive half")
+
+    monkeypatch.setattr(_LineChain, "couple", couple)
+    monkeypatch.setattr(UsartRx, "sample", failing_sample)
+    with pytest.raises(_Fault, match="receive half"):
+        run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 3, usart_rx=UsartRx(cfg.usart))
+    assert threading.active_count() == before
+
+
+def test_run_line_output_independent_of_thread_scheduling(baseline_cfg):
+    # Four concurrent callers (more than the cores) with a tiny switch
+    # interval interleave every worker and receiver; each call must still
+    # return what it returns alone.  At 0.15 m the decisions depend on the
+    # noise, so a reordered draw would show.
+    cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, gap=0.15))
+    bits = frame_line_bits(b"\x11\x22\x33", cfg)
+
+    def run(seed):
+        mids, words = run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, seed,
+                               usart_rx=UsartRx(cfg.usart))
+        return mids.tobytes(), words
+
+    expected = {seed: run(seed) for seed in range(4)}
+    got = {}
+    threads = [threading.Thread(target=lambda s=seed: got.__setitem__(s, run(s)))
+               for seed in expected]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == expected
 
 
 def test_run_line_rejects_empty(baseline_cfg):
