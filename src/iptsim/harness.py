@@ -251,15 +251,31 @@ def ber_sweep(cfg: ScenarioConfig, variable: str, values,
     return results
 
 
-def _probe_ber(cfg: ScenarioConfig, rate: int, bits_per_probe: int) -> float:
-    """Random-bit modem loopback through the link at one bit rate."""
+def _error_budget(ber_ceiling: float, bits: int) -> int:
+    """Most bit errors in `bits` bits that keep the BER at or below the ceiling.
+
+    The largest e with e / bits <= ber_ceiling, by that same float
+    comparison: floor(ber_ceiling * bits) can land one off, since 0.29 * 100
+    is 28.999999999999996 while 29 / 100 <= 0.29.
+    """
+    budget = math.floor(ber_ceiling * bits)
+    while budget / bits > ber_ceiling:
+        budget -= 1
+    while (budget + 1) / bits <= ber_ceiling:
+        budget += 1
+    return budget
+
+
+def _probe_passes(cfg: ScenarioConfig, rate: int, bits_per_probe: int,
+                  max_errors: int) -> bool:
+    """Random-bit modem loopback at one bit rate: at most max_errors bit errors?"""
     seed = derive_seed(cfg.master_seed, rate)
     rng = np.random.default_rng(derive_seed(seed, 1))
     line_bits = rng.integers(0, 2, bits_per_probe).astype(np.uint8)
     pcfg = _point_config(cfg, "bit_rate", float(rate))
     mids, _ = run_line(line_bits, pcfg.link, pcfg.tx, pcfg.rx, pcfg.q_factor,
-                       derive_seed(seed, 2))
-    return int(np.count_nonzero(mids != line_bits)) / bits_per_probe
+                       derive_seed(seed, 2), max_errors=max_errors)
+    return int(np.count_nonzero(mids != line_bits[:mids.size])) <= max_errors
 
 
 def max_data_rate(cfg: ScenarioConfig, ber_ceiling: float,
@@ -267,24 +283,34 @@ def max_data_rate(cfg: ScenarioConfig, ber_ceiling: float,
     """Largest bit rate whose measured BER stays at or below the ceiling.
 
     Binary search over integer bit rates between min_rate and the carrier
-    limit (carrier must stay at least 10x the bit rate).  The reported
-    resolution is the unexplored interval left when the search stopped.
+    limit (carrier must stay at least 10x the bit rate).  A probe of
+    bits_per_probe random bits passes with at most
+    _error_budget(ber_ceiling, bits_per_probe) errors.  It stops at the end of
+    the chunk that exceeds that budget, since it has then failed whatever the
+    rest would show, so the answer is that of probes run to the end.  The
+    reported resolution is the unexplored interval left when the search
+    stopped.
     """
     if not 0 < ber_ceiling < 1:
         raise ValueError("ber_ceiling must be in (0, 1)")
+    if bits_per_probe < 1:
+        raise ValueError(f"bits_per_probe must be at least 1, got {bits_per_probe}")
+    if min_rate < 1:
+        raise ValueError(f"min_rate must be at least 1 bit/s, got {min_rate}")
+    budget = _error_budget(ber_ceiling, bits_per_probe)
     hi = int(cfg.tx.carrier_freq // 10)
     lo = int(min_rate)
     if lo > hi:
         raise NoFeasibleRateError(f"minimum rate {lo} exceeds the carrier limit {hi}")
-    if _probe_ber(cfg, lo, bits_per_probe) > ber_ceiling:
+    if not _probe_passes(cfg, lo, bits_per_probe, budget):
         raise NoFeasibleRateError(
             f"BER exceeds {ber_ceiling} even at the minimum rate {lo} bit/s")
-    if _probe_ber(cfg, hi, bits_per_probe) <= ber_ceiling:
+    if _probe_passes(cfg, hi, bits_per_probe, budget):
         return MaxRateResult(hi, 0)
     # invariant: lo feasible, hi infeasible
     while hi - lo > max(1, int(0.02 * lo)):
         mid = (lo + hi) // 2
-        if _probe_ber(cfg, mid, bits_per_probe) <= ber_ceiling:
+        if _probe_passes(cfg, mid, bits_per_probe, budget):
             lo = mid
         else:
             hi = mid

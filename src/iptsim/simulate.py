@@ -187,14 +187,20 @@ class _LineChain:
 
 
 def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
-             q_factor: float, noise_seed: int,
-             usart_rx: UsartRx | None = None) -> tuple[np.ndarray, list[tuple[int, bool]]]:
+             q_factor: float, noise_seed: int, usart_rx: UsartRx | None = None,
+             max_errors: int | None = None) -> tuple[np.ndarray, list[tuple[int, bool]]]:
     """Transmit bit-period levels across the link and recover them.
 
     Returns the logic level at each bit midpoint (uint8 array, one entry
     per input bit) and the words delivered by the optional USART receiver,
     which is driven from the x16 decimation of the logic waveform and
     drained after every sub-sample.
+
+    With max_errors set, the decisions that differ from line_bits are
+    counted after each chunk, and the call stops at the end of the chunk
+    that takes the count past max_errors.  It then returns the decisions
+    made so far, a prefix of what the unlimited call returns, and the
+    words delivered so far.
 
     A worker thread, started and joined within the call, runs the transmit
     half of the next chunk while this thread runs the receive half of the
@@ -208,6 +214,7 @@ def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
     chunk_bits = max(1, int(_CHUNK_SAMPLES // chain.spb))
     mids = np.empty(bits.size, dtype=np.uint8)
     received: list[tuple[int, bool]] = []
+    errors = 0
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="run_line") as worker:
         ahead = worker.submit(chain.transmit, bits[:chunk_bits], 0)
         for k0 in range(0, bits.size, chunk_bits):
@@ -227,4 +234,9 @@ def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
                     usart_rx.sample(level)
                     if usart_rx.rcif:
                         received.append(usart_rx.read())
-    return mids, received
+            if max_errors is not None:
+                errors += int(np.count_nonzero(mids[k0:k1] != bits[k0:k1]))
+                if errors > max_errors:
+                    ahead.result()  # the chunk in flight: wait for it and raise its failure
+                    break
+    return mids[:k1], received

@@ -87,6 +87,13 @@ def test_maxrate_no_feasible_rate_exit_code(tmp_path, capsys):
     assert "no feasible rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bits", ["0", "-5"])
+def test_maxrate_bad_probe_size_exit_code(cfg_file, capsys, bits):
+    assert main(["maxrate", str(cfg_file), "--bits-per-probe", bits]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "bits_per_probe" in err
+
+
 def test_maxrate_reports_rate(cfg_file, capsys):
     # Small probes keep this a smoke test; the acceptance suite runs the
     # full-accuracy search.

@@ -1,12 +1,19 @@
 import csv
 import io
+import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from iptsim import harness
 from iptsim.config import ScriptStep, build_config, session_airtime_s
-from iptsim.harness import (NoFeasibleRateError, SweepResult, TraceRecord,
-                            ber_sweep, emit_csv, max_data_rate, run_scenario)
+from iptsim.harness import (MaxRateResult, NoFeasibleRateError, SweepResult, TraceRecord,
+                            _error_budget, ber_sweep, emit_csv, max_data_rate,
+                            run_scenario)
+from iptsim.seeds import derive_seed
+from iptsim.simulate import run_line
 from iptsim.usart import actual_baud
 
 
@@ -128,11 +135,92 @@ def test_max_data_rate_infeasible_link(baseline_cfg):
     dead = replace(baseline_cfg, link=replace(baseline_cfg.link, gap=0.5))
     with pytest.raises(NoFeasibleRateError):
         max_data_rate(dead, 1e-3, bits_per_probe=200)
+    with pytest.raises(NoFeasibleRateError):
+        _full_probe_search(dead, 1e-3, 200, 50)
 
 
 def test_max_data_rate_validates_ceiling(baseline_cfg):
     with pytest.raises(ValueError):
         max_data_rate(baseline_cfg, 0.0)
+
+
+@pytest.mark.parametrize("bits_per_probe", [0, -5])
+def test_max_data_rate_rejects_bad_probe_size_by_name(baseline_cfg, bits_per_probe):
+    with pytest.raises(ValueError, match="bits_per_probe"):
+        max_data_rate(baseline_cfg, 1e-3, bits_per_probe=bits_per_probe)
+
+
+@pytest.mark.parametrize("min_rate", [0, -250])
+def test_max_data_rate_rejects_bad_min_rate_by_name(baseline_cfg, min_rate):
+    with pytest.raises(ValueError, match="min_rate"):
+        max_data_rate(baseline_cfg, 1e-3, bits_per_probe=100, min_rate=min_rate)
+
+
+@pytest.mark.parametrize("ceiling,bits,budget", [(0.29, 100, 29), (1e-3, 2000, 2),
+                                                 (1e-3, 999, 0), (0.01, 100, 1)])
+def test_error_budget_edges(ceiling, bits, budget):
+    # 0.29 * 100 is 28.999999999999996, yet 29 errors in 100 bits pass.
+    assert _error_budget(ceiling, bits) == budget
+
+
+@given(ceiling=st.floats(1e-6, 1.0, exclude_max=True), bits=st.integers(1, 10 ** 7))
+def test_error_budget_is_the_largest_passing_count(ceiling, bits):
+    budget = _error_budget(ceiling, bits)
+    assert budget / bits <= ceiling < (budget + 1) / bits
+
+
+def _full_probe_search(cfg, ber_ceiling, bits_per_probe, min_rate):
+    """The bisection of max_data_rate, each probe run to its last bit."""
+    def ber(rate):
+        seed = derive_seed(cfg.master_seed, rate)
+        rng = np.random.default_rng(derive_seed(seed, 1))
+        line_bits = rng.integers(0, 2, bits_per_probe).astype(np.uint8)
+        tx = replace(cfg.tx, bit_rate=float(rate))
+        mids, _ = run_line(line_bits, cfg.link, tx, cfg.rx, cfg.q_factor, derive_seed(seed, 2))
+        assert mids.size == bits_per_probe
+        return int(np.count_nonzero(mids != line_bits)) / bits_per_probe
+
+    lo, hi = min_rate, int(cfg.tx.carrier_freq // 10)
+    if ber(lo) > ber_ceiling:
+        raise NoFeasibleRateError(f"minimum rate {lo}")
+    if ber(hi) <= ber_ceiling:
+        return MaxRateResult(hi, 0)
+    while hi - lo > max(1, int(0.02 * lo)):
+        mid = (lo + hi) // 2
+        if ber(mid) <= ber_ceiling:
+            lo = mid
+        else:
+            hi = mid
+    return MaxRateResult(lo, hi - lo)
+
+
+@settings(max_examples=10, deadline=None)
+@given(master_seed=st.integers(0, 2 ** 32 - 1),
+       ceiling=st.floats(math.log(1e-3), math.log(0.3)).map(math.exp),
+       bits_per_probe=st.integers(100, 600))
+# Budget 0 and budget 1: at this seed a budget one higher or lower changes the answer.
+@example(master_seed=1, ceiling=1e-3, bits_per_probe=100)
+@example(master_seed=1, ceiling=0.01, bits_per_probe=100)
+def test_max_data_rate_matches_full_probe_search(baseline_cfg, master_seed, ceiling,
+                                                 bits_per_probe):
+    # Probes that stop once they exceed the error budget must give the
+    # answer of the search that runs every probe to the end.
+    cfg = replace(baseline_cfg, master_seed=master_seed)
+    expected = _full_probe_search(cfg, ceiling, bits_per_probe, 250)
+    assert max_data_rate(cfg, ceiling, bits_per_probe=bits_per_probe, min_rate=250) == expected
+
+
+def test_max_data_rate_probes_through_harness_run_line(baseline_cfg, monkeypatch):
+    # perfbench's tracer counts probes by rebinding harness.run_line.
+    limits = []
+
+    def recording(*args, max_errors=None, **kwargs):
+        limits.append(max_errors)
+        return run_line(*args, max_errors=max_errors, **kwargs)
+
+    monkeypatch.setattr(harness, "run_line", recording)
+    max_data_rate(baseline_cfg, 1e-3, bits_per_probe=100, min_rate=250)
+    assert limits and set(limits) == {0}
 
 
 # ---- CSV emission -----------------------------------------------------------

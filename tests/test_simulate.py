@@ -212,6 +212,68 @@ def test_run_line_reraises_failures_and_joins_its_worker(baseline_cfg, monkeypat
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("max_errors", [0, 4, 30])
+def test_run_line_stops_after_the_chunk_that_exceeds_max_errors(baseline_cfg, monkeypatch,
+                                                               max_errors):
+    # At 0.15 m about a third of the decisions are wrong.  At 250 bit/s a
+    # chunk is 16 bits, and the 16 framed bytes plus idle make 11 chunks.
+    cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, gap=0.15))
+    bits = frame_line_bits(bytes(range(0, 256, 16)), cfg)
+    chunk_bits = int(simulate._CHUNK_SAMPLES // (cfg.tx.sample_rate / cfg.tx.bit_rate))
+
+    def run(limit):
+        return run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 13,
+                        usart_rx=UsartRx(cfg.usart), max_errors=limit)
+
+    full_mids, full_words = run(None)
+    deciding = np.flatnonzero(full_mids != bits)[max_errors]
+    stop = (deciding // chunk_bits + 1) * chunk_bits
+    assert stop < bits.size
+
+    couple, calls = _LineChain.couple, []
+
+    def counting_couple(chain, x):
+        calls.append(x.size)
+        return couple(chain, x)
+
+    monkeypatch.setattr(_LineChain, "couple", counting_couple)
+    before = threading.active_count()
+    mids, words = run(max_errors)
+    assert threading.active_count() == before
+    assert mids.size == stop
+    assert mids.tobytes() == full_mids[:stop].tobytes()
+    assert words == full_words[:len(words)]
+    assert len(calls) == stop // chunk_bits + 1  # one chunk past the stop, no more
+
+    def failing_couple(chain, x):
+        if len(calls) == stop // chunk_bits:
+            raise _Fault("chunk in flight at the stop")
+        return counting_couple(chain, x)
+
+    calls.clear()
+    monkeypatch.setattr(_LineChain, "couple", failing_couple)
+    with pytest.raises(_Fault, match="chunk in flight"):
+        run(max_errors)
+    assert threading.active_count() == before
+
+
+def test_run_line_within_max_errors_returns_the_full_result(baseline_cfg):
+    cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, gap=0.15))
+    bits = frame_line_bits(b"\x5a\xc3", cfg)
+
+    def run(limit):
+        return run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 13,
+                        usart_rx=UsartRx(cfg.usart), max_errors=limit)
+
+    full_mids, full_words = run(None)
+    errors = int(np.count_nonzero(full_mids != bits))
+    assert errors > 0
+    for limit in (errors, errors + 1, bits.size):
+        mids, words = run(limit)
+        assert mids.tobytes() == full_mids.tobytes()
+        assert words == full_words
+
+
 def test_run_line_output_independent_of_thread_scheduling(baseline_cfg):
     # Four concurrent callers (more than the cores) with a tiny switch
     # interval interleave every worker and receiver; each call must still
