@@ -32,7 +32,7 @@ def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     report, traces = run_scenario(cfg)
     trace_path = args.trace or f"{Path(args.config).stem}_trace.csv"
-    _write_text(trace_path, emit_csv(traces, kind="trace"))
+    _write_text(trace_path, emit_csv(traces))
     delivered_pct = (100.0 * report.frames_delivered / report.frames_sent
                      if report.frames_sent else 0.0)
     print(f"scenario: {args.config}")
@@ -60,7 +60,7 @@ def _cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--values: {exc}") from exc
     results = ber_sweep(cfg, _VAR_MAP[args.var], values, bits_per_point=args.bits)
-    text = emit_csv(results, kind="sweep")
+    text = emit_csv(results)
     if args.out:
         _write_text(args.out, text)
         print(f"sweep written: {args.out}")

@@ -7,9 +7,10 @@ canonical SI throughout: Hz, m, V, A, s.  Scripted readings use
 Receiver settings the file omits are derived from the rest of the
 configuration: the noise-filter corner from the carrier, the envelope time
 constant from carrier and filter order, the comparator threshold from the
-link budget at sim.calibration_gap, and the channel noise from sim.snr_db.
-build_config is the only place this happens; variants such as with_carrier
-re-resolve through it, so a value the caller set stays set.
+link budget at sim.calibration_gap, the channel noise from sim.snr_db, and
+SPBRG from tx.bit_rate.  build_config is the only place this happens;
+variants such as with_carrier re-resolve through it, so a value the caller
+set stays set.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from dataclasses import astuple, dataclass, field
 
 from .channel import CoilPair, LinkParams
 from .modem import RxParams, TxParams
-from .simulate import (IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, calibrate_threshold,
-                       derived_envelope_tau, derived_hf_cutoff, noise_rms_for_snr)
-from .telemetry import POLL_FRAME_LEN, READING_FRAME_LEN, Thresholds
-from .usart import UsartConfig, nearest_spbrg
+from .simulate import (calibrate_threshold, derived_envelope_tau, derived_hf_cutoff,
+                       noise_rms_for_snr)
+from .telemetry import Thresholds
+from .usart import SpbrgRangeError, UsartConfig, brg_divisor
 
 
 class ConfigError(ValueError):
@@ -47,6 +48,8 @@ class ScenarioConfig:
 
     settings is the merged key/value map the scenario was resolved from,
     with derived keys left None; with_settings re-resolves from it.
+    Variants come from with_settings: a dataclasses.replace copy keeps the
+    old settings, so re-resolving it undoes the change.
     """
 
     link: LinkParams
@@ -250,8 +253,8 @@ def build_config(values: dict[str, object] | None = None,
         )
         spbrg = settings["usart.spbrg"]
         if spbrg is None:
-            spbrg = nearest_spbrg(settings["usart.fosc"], tx.bit_rate,
-                                  brgh=settings["usart.brgh"]).spbrg
+            spbrg = brg_divisor(settings["usart.fosc"], tx.bit_rate,
+                                brgh=settings["usart.brgh"]).spbrg
         usart = UsartConfig(
             fosc=settings["usart.fosc"],
             spbrg=spbrg,
@@ -259,10 +262,13 @@ def build_config(values: dict[str, object] | None = None,
             nine_bit=settings["usart.nine_bit"],
         )
         link = LinkParams(coils=coils, gap=settings["link.gap"], noise_rms=noise_rms)
+    except SpbrgRangeError as exc:
+        raise ConfigError(f"tx.bit_rate, usart.fosc, usart.brgh: {exc}; "
+                          "pin usart.spbrg to choose the divisor") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    cfg = ScenarioConfig(
+    return ScenarioConfig(
         link=link,
         tx=tx,
         rx=rx,
@@ -275,24 +281,6 @@ def build_config(values: dict[str, object] | None = None,
         master_seed=settings["sim.master_seed"],
         settings=settings,
     )
-    _check_session_fits(cfg)
-    return cfg
-
-
-def session_airtime_s(cfg: ScenarioConfig) -> float:
-    """Wire time of one poll/reply exchange including idle padding."""
-    pad = IDLE_PREAMBLE_BITS + IDLE_TAIL_BITS
-    poll_bits = POLL_FRAME_LEN * cfg.usart.frame_bits + pad
-    reply_bits = READING_FRAME_LEN * cfg.usart.frame_bits + pad
-    return (poll_bits + reply_bits) / cfg.tx.bit_rate
-
-
-def _check_session_fits(cfg: ScenarioConfig) -> None:
-    airtime = session_airtime_s(cfg)
-    if airtime > cfg.poll_interval_s:
-        raise ConfigError(
-            f"sim.poll_interval_s: a poll/reply session takes {airtime:.3f}s at "
-            f"{cfg.tx.bit_rate} bit/s, longer than the {cfg.poll_interval_s}s interval")
 
 
 def load_config(path: str | None = None) -> ScenarioConfig:
@@ -311,6 +299,16 @@ def with_settings(cfg: ScenarioConfig, values: dict[str, object]) -> ScenarioCon
     Settings cfg pinned stay pinned; derived ones are derived again.
     """
     return build_config({**cfg.settings, **values}, cfg.script)
+
+
+def derived_settings(cfg: ScenarioConfig) -> dict[str, object]:
+    """The values cfg resolved for the keys build_config derives; with_settings holds them."""
+    derived = {}
+    for key, (_, default) in SETTINGS.items():
+        if default is None:
+            section, name = key.split(".")
+            derived[key] = getattr(getattr(cfg, section), name)
+    return derived
 
 
 def with_carrier(cfg: ScenarioConfig, carrier_freq: float) -> ScenarioConfig:

@@ -8,17 +8,17 @@ mixer, so repeated runs produce byte-identical output.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig, derived_settings, with_settings
 from .seeds import derive_seed
 from .simulate import IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, run_line
-from .telemetry import (FaultSet, MotorState, READING_FRAME_LEN, classify_faults,
-                        encode_frame, encode_poll, render_display, scan_frames,
-                        MSG_FAULT_ALARM, MSG_POLL, MSG_READING)
-from .usart import UsartRx, actual_baud, frame_encode
+from .telemetry import (FaultSet, MotorState, POLL_FRAME_LEN, READING_FRAME_LEN,
+                        classify_faults, encode_frame, encode_poll, render_display,
+                        scan_frames, MSG_FAULT_ALARM, MSG_POLL, MSG_READING)
+from .usart import UsartRx, UsartTx, actual_baud
 
 
 class NoFeasibleRateError(RuntimeError):
@@ -73,11 +73,17 @@ class ScenarioReport:
 
 
 def frame_line_bits(frame_bytes: bytes, cfg: ScenarioConfig) -> np.ndarray:
-    """USART line bits for a frame, padded with idle so the receiver settles."""
+    """Line bits of a UsartTx sending the frame back to back, padded with
+    idle so the receiver settles."""
     ninth = 0 if cfg.usart.nine_bit else None
+    tx = UsartTx(cfg.usart, txen=True)
     bits: list[int] = [1] * IDLE_PREAMBLE_BITS
     for b in frame_bytes:
-        bits.extend(frame_encode(b, ninth, cfg.usart))
+        while not tx.txif:
+            bits.append(tx.tick())
+        tx.load(b, ninth)
+    while not (tx.txif and tx.trmt):
+        bits.append(tx.tick())
     bits.extend([1] * IDLE_TAIL_BITS)
     return np.array(bits, dtype=np.uint8)
 
@@ -109,14 +115,32 @@ def _script_lookup(cfg: ScenarioConfig, t: float) -> MotorState:
                       current.voltage_v, current.current_a)
 
 
+def session_airtime_s(cfg: ScenarioConfig) -> float:
+    """Wire time of one poll/reply exchange including idle padding."""
+    pad = IDLE_PREAMBLE_BITS + IDLE_TAIL_BITS
+    poll_bits = POLL_FRAME_LEN * cfg.usart.frame_bits + pad
+    reply_bits = READING_FRAME_LEN * cfg.usart.frame_bits + pad
+    return (poll_bits + reply_bits) / cfg.tx.bit_rate
+
+
+def _check_session_fits(cfg: ScenarioConfig) -> None:
+    airtime = session_airtime_s(cfg)
+    if airtime > cfg.poll_interval_s:
+        raise ConfigError(
+            f"sim.poll_interval_s: a poll/reply session takes {airtime:.3f}s at "
+            f"{cfg.tx.bit_rate} bit/s, longer than the {cfg.poll_interval_s}s interval")
+
+
 def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]]:
     """Simulate poll/reply sessions for the configured duration.
 
     The monitor polls on every poll interval; the acquisition side answers
     with a reading frame, or a fault-alarm frame whenever new fault bits
     appeared since the previous session.  The report carries delivery and
-    bit-error totals plus the final rendered display.
+    bit-error totals plus the final rendered display.  A session that does
+    not fit the poll interval is a ConfigError.
     """
+    _check_session_fits(cfg)
     traces: list[TraceRecord] = []
     frames_sent = frames_delivered = 0
     bits_sent = bit_errors = 0
@@ -194,17 +218,12 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
     return report, traces
 
 
-_SWEEP_VARIABLES = ("gap", "noise_rms", "bit_rate")
+_SWEEP_KEYS = {"gap": "link.gap", "noise_rms": "link.noise_rms", "bit_rate": "tx.bit_rate"}
 
 
 def _point_config(cfg: ScenarioConfig, variable: str, value: float) -> ScenarioConfig:
-    if variable == "gap":
-        return replace(cfg, link=replace(cfg.link, gap=value))
-    if variable == "noise_rms":
-        return replace(cfg, link=replace(cfg.link, noise_rms=value))
-    if variable == "bit_rate":
-        return replace(cfg, tx=replace(cfg.tx, bit_rate=value))
-    raise ValueError(f"sweep variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")
+    """cfg with one setting changed and every value cfg derived held."""
+    return with_settings(cfg, {**derived_settings(cfg), _SWEEP_KEYS[variable]: value})
 
 
 def _random_reading_frames(n_frames: int, seed: int) -> bytes:
@@ -229,8 +248,8 @@ def ber_sweep(cfg: ScenarioConfig, variable: str, values,
     stack and gets its own derived seed, so results are reproducible and
     independent of evaluation order.
     """
-    if variable not in _SWEEP_VARIABLES:
-        raise ValueError(f"sweep variable must be one of {_SWEEP_VARIABLES}, got {variable!r}")
+    if variable not in _SWEEP_KEYS:
+        raise ValueError(f"sweep variable must be one of {tuple(_SWEEP_KEYS)}, got {variable!r}")
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
@@ -327,32 +346,23 @@ TRACE_HEADER = "time_s,stage,value,unit"
 SWEEP_HEADER = "var,bits,errors,ber,frames_sent,frames_delivered"
 
 
-def emit_csv(records, kind: str | None = None) -> str:
+def emit_csv(records) -> str:
     """Render trace records or sweep results as CSV text.
 
-    Column order is fixed; floats use nine significant digits; lines end
-    with LF.  An empty record list emits a header-only table (trace layout
-    unless kind says otherwise).
+    The record type decides the layout, and an empty list emits the trace
+    header alone.  Column order is fixed; floats use nine significant digits;
+    lines end with LF.
     """
     records = list(records)
-    if kind is None:
-        if not records:
-            kind = "trace"
-        elif isinstance(records[0], TraceRecord):
-            kind = "trace"
-        elif isinstance(records[0], SweepResult):
-            kind = "sweep"
-        else:
-            raise TypeError(f"cannot infer CSV layout for {type(records[0]).__name__}")
-    if kind == "trace":
+    if not records or isinstance(records[0], TraceRecord):
         lines = [TRACE_HEADER]
         for r in records:
             lines.append(f"{_fmt(r.time_s)},{r.stage},{_fmt(r.value)},{r.unit}")
-    elif kind == "sweep":
+    elif isinstance(records[0], SweepResult):
         lines = [SWEEP_HEADER]
         for r in records:
             lines.append(f"{_fmt(r.var)},{r.bits_sent},{r.bit_errors},"
                          f"{_fmt(r.ber)},{r.frames_sent},{r.frames_delivered}")
     else:
-        raise ValueError(f"kind must be 'trace' or 'sweep', got {kind!r}")
+        raise TypeError(f"cannot infer CSV layout for {type(records[0]).__name__}")
     return "\n".join(lines) + "\n"

@@ -108,15 +108,6 @@ def brg_divisor(fosc: float, target: float, sync: bool = False,
     return BrgResult(x, actual, 100.0 * (actual - target) / target)
 
 
-def nearest_spbrg(fosc: float, target: float, sync: bool = False,
-                  brgh: bool = False) -> BrgResult:
-    """Like brg_divisor but clamps into 0..255 instead of raising."""
-    d = _divisor(sync, brgh)
-    x = min(255, max(0, round(fosc / (d * target) - 1)))
-    actual = fosc / (d * (x + 1))
-    return BrgResult(x, actual, 100.0 * (actual - target) / target)
-
-
 def frame_encode(byte: int, ninth: int | None, cfg: UsartConfig) -> list[int]:
     """NRZ frame bits for one byte: START(0), data LSb first, STOP(1)."""
     if not 0 <= byte <= 255:
@@ -144,7 +135,7 @@ class UsartTx:
     def __init__(self, cfg: UsartConfig, txen: bool = False):
         self.cfg = cfg
         self.txen = txen
-        self._txreg: tuple[int, int | None] | None = None
+        self._txreg: list[int] | None = None  # the frame bits of the loaded byte
         self._tsr: list[int] | None = None
         self._tsr_idx = 0
 
@@ -169,14 +160,12 @@ class UsartTx:
         """Write TXREG.  Raises TxBufferFullError if it still holds data."""
         if self._txreg is not None:
             raise TxBufferFullError("TXREG already holds an unsent byte")
-        frame_encode(byte, ninth, self.cfg)  # validate byte/ninth up front
-        self._txreg = (byte, ninth)
+        self._txreg = frame_encode(byte, ninth, self.cfg)
         self._maybe_load_tsr()
 
     def _maybe_load_tsr(self) -> None:
         if self.txen and self._tsr is None and self._txreg is not None:
-            byte, ninth = self._txreg
-            self._tsr = frame_encode(byte, ninth, self.cfg)
+            self._tsr = self._txreg
             self._tsr_idx = 0
             self._txreg = None
 

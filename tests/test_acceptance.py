@@ -235,7 +235,7 @@ def test_c6_telemetry_suite():
 
 
 def test_c7_determinism_byte_identical_csv(baseline):
-    cfg = replace(baseline, duration_s=2.0)
+    cfg = with_settings(baseline, {"sim.duration_s": 2.0})
     _, traces_a = run_scenario(cfg)
     _, traces_b = run_scenario(cfg)
     assert emit_csv(traces_a) == emit_csv(traces_b)

@@ -60,6 +60,21 @@ def test_run_zero_bit_rate_exit_code(tmp_path, capsys):
     assert "bit_rate" in capsys.readouterr().err
 
 
+def test_run_unreachable_baud_exit_code(tmp_path, capsys):
+    bad = tmp_path / "slow.cfg"
+    bad.write_text(BASELINE.replace("tx.bit_rate = 250", "tx.bit_rate = 100"),
+                   encoding="utf-8")
+    assert main(["run", str(bad)]) == 1
+    assert "usart.spbrg" in capsys.readouterr().err
+
+
+def test_run_session_longer_than_poll_interval_exit_code(tmp_path, capsys):
+    bad = tmp_path / "busy.cfg"
+    bad.write_text(BASELINE + "sim.poll_interval_s = 0.1\n", encoding="utf-8")
+    assert main(["run", str(bad)]) == 1
+    assert "poll_interval" in capsys.readouterr().err
+
+
 def test_sweep_subcommand_stdout(cfg_file, capsys):
     assert main(["sweep", str(cfg_file), "--var", "gap",
                  "--values", "0.0,0.05", "--bits", "1000"]) == 0

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from iptsim.config import (ConfigError, ScriptStep, build_config, load_config,
-                           parse_config_text, with_carrier, with_settings)
+from iptsim.config import (SETTINGS, ConfigError, ScriptStep, build_config,
+                           derived_settings, load_config, parse_config_text,
+                           with_carrier, with_settings)
 from iptsim.channel import resonant_frequency
+from iptsim.harness import run_scenario
 
 
 def test_defaults_resolve(baseline_cfg):
@@ -31,7 +33,7 @@ def test_parse_round_trip(tmp_path):
     text = """
 # comment line
 link.gap = 0.07
-tx.bit_rate = 500        # trailing comment
+tx.bit_rate = 1000       # trailing comment
 usart.brgh = true
 sim.duration_s = 4.0
 sim.poll_interval_s = 1.0
@@ -42,8 +44,9 @@ script.1 = 2.0 90.0 1450 230.0 1.5
     path.write_text(text, encoding="utf-8")
     cfg = load_config(str(path))
     assert cfg.link.gap == 0.07
-    assert cfg.tx.bit_rate == 500
+    assert cfg.tx.bit_rate == 1000
     assert cfg.usart.brgh is True
+    assert cfg.usart.spbrg == 249                         # exact 1000 baud, BRGH at 4 MHz
     assert len(cfg.script) == 2
     assert cfg.script[1] == ScriptStep(2.0, 90.0, 1450.0, 230.0, 1.5)
 
@@ -142,8 +145,30 @@ def test_non_finite_script_value_rejected():
 
 
 def test_session_must_fit_poll_interval():
+    # Only a scenario polls, so only run_scenario checks the session airtime.
+    cfg = build_config({"sim.poll_interval_s": 0.1})
     with pytest.raises(ConfigError, match="poll_interval"):
-        build_config({"sim.poll_interval_s": 0.1})
+        run_scenario(cfg)
+
+
+def test_unreachable_baud_is_a_config_error():
+    # 100 bit/s needs SPBRG 624 at 4 MHz with BRGH off.
+    with pytest.raises(ConfigError) as err:
+        build_config({"tx.bit_rate": 100})
+    for key in ("tx.bit_rate", "usart.fosc", "usart.brgh", "usart.spbrg"):
+        assert key in str(err.value)
+    pinned = build_config({"tx.bit_rate": 100, "usart.spbrg": 255})
+    assert (pinned.tx.bit_rate, pinned.usart.spbrg) == (100, 255)
+
+
+def test_derived_settings_are_the_resolved_values(baseline_cfg):
+    derived = derived_settings(baseline_cfg)
+    assert set(derived) == {key for key, (_, default) in SETTINGS.items() if default is None}
+    assert derived["usart.spbrg"] == 249
+    assert derived["rx.threshold"] == baseline_cfg.rx.threshold
+    assert derived["link.noise_rms"] == baseline_cfg.link.noise_rms
+    held = with_settings(baseline_cfg, {**derived, "sim.snr_db": 0.0})
+    assert held.link.noise_rms == baseline_cfg.link.noise_rms
 
 
 def test_explicit_noise_overrides_snr():

@@ -8,13 +8,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iptsim import harness
-from iptsim.config import ScriptStep, build_config, session_airtime_s
+from iptsim.config import ScriptStep, build_config, derived_settings, with_settings
 from iptsim.harness import (MaxRateResult, NoFeasibleRateError, SweepResult, TraceRecord,
-                            _error_budget, ber_sweep, emit_csv, max_data_rate,
-                            run_scenario)
+                            _error_budget, _point_config, ber_sweep, emit_csv,
+                            frame_line_bits, max_data_rate, run_scenario,
+                            session_airtime_s)
 from iptsim.seeds import derive_seed
-from iptsim.simulate import run_line
-from iptsim.usart import actual_baud
+from iptsim.simulate import IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, run_line
+from iptsim.usart import actual_baud, frame_encode
 
 
 @pytest.fixture(scope="module")
@@ -22,10 +23,15 @@ def short_cfg():
     return build_config({"sim.duration_s": 2.0})
 
 
+def _variant(cfg, key, value):
+    """cfg with one setting changed and everything cfg derived held."""
+    return with_settings(cfg, {**derived_settings(cfg), key: value})
+
+
 # ---- scenario runner --------------------------------------------------------
 
 def test_scenario_noiseless_full_delivery(short_cfg):
-    cfg = replace(short_cfg, link=replace(short_cfg.link, noise_rms=0.0))
+    cfg = _variant(short_cfg, "link.noise_rms", 0.0)
     report, traces = run_scenario(cfg)
     assert report.sessions == 2
     assert report.frames_sent == 4            # poll + reply per session
@@ -67,10 +73,26 @@ def test_session_airtime(short_cfg):
     assert session_airtime_s(short_cfg) == pytest.approx(222 / 250)
 
 
+# ---- framing ----------------------------------------------------------------
+
+@settings(max_examples=50, deadline=None)
+@given(payload=st.binary(max_size=40), nine_bit=st.booleans())
+def test_frame_line_bits_is_the_concatenated_frames(payload, nine_bit):
+    cfg = build_config({"usart.nine_bit": nine_bit})
+    ninth = 0 if nine_bit else None
+    expected = [1] * IDLE_PREAMBLE_BITS
+    for b in payload:
+        expected += frame_encode(b, ninth, cfg.usart)
+    expected += [1] * IDLE_TAIL_BITS
+    bits = frame_line_bits(payload, cfg)
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == expected
+
+
 # ---- sweeps -----------------------------------------------------------------
 
 def test_sweep_noiseless_gap_points(baseline_cfg):
-    cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, noise_rms=0.0))
+    cfg = _variant(baseline_cfg, "link.noise_rms", 0.0)
     results = ber_sweep(cfg, "gap", [0.0, 0.05, 0.10], bits_per_point=1000)
     for r in results:
         assert r.ber == 0.0
@@ -118,6 +140,29 @@ def test_nine_bit_mode_end_to_end():
     assert report.bit_errors == 0
 
 
+@pytest.mark.parametrize("variable,key,value", [("gap", "link.gap", 0.12),
+                                                ("noise_rms", "link.noise_rms", 0.3),
+                                                ("bit_rate", "tx.bit_rate", 400.0)])
+def test_point_config_re_resolves_to_itself(baseline_cfg, variable, key, value):
+    # A point holds what the base derived, so re-resolving it changes nothing.
+    point = _point_config(baseline_cfg, variable, value)
+    assert point.settings[key] == value
+    assert with_settings(point, {}) == point
+    for held in ("rx", "usart"):
+        assert getattr(point, held) == getattr(baseline_cfg, held)
+    if variable != "noise_rms":
+        assert point.link.noise_rms == baseline_cfg.link.noise_rms
+
+
+def test_low_rate_points_hold_spbrg(baseline_cfg):
+    # 50 and 100 bit/s are out of the baud-rate generator's reach at 4 MHz, so
+    # a point that derived SPBRG again would be a ConfigError.
+    probe = _point_config(baseline_cfg, "bit_rate", 50.0)
+    assert probe.tx.bit_rate == 50.0 and probe.usart.spbrg == baseline_cfg.usart.spbrg
+    [point] = ber_sweep(baseline_cfg, "bit_rate", [100.0], bits_per_point=1000)
+    assert point.var == 100.0 and point.frames_sent > 0
+
+
 def test_sweep_validates_arguments(baseline_cfg):
     with pytest.raises(ValueError):
         ber_sweep(baseline_cfg, "coupling", [0.1])
@@ -132,7 +177,7 @@ def test_sweep_validates_arguments(baseline_cfg):
 def test_max_data_rate_infeasible_link(baseline_cfg):
     # At half a meter the received envelope sits far below the calibrated
     # threshold, so even the minimum rate fails.
-    dead = replace(baseline_cfg, link=replace(baseline_cfg.link, gap=0.5))
+    dead = _variant(baseline_cfg, "link.gap", 0.5)
     with pytest.raises(NoFeasibleRateError):
         max_data_rate(dead, 1e-3, bits_per_probe=200)
     with pytest.raises(NoFeasibleRateError):
@@ -205,7 +250,7 @@ def test_max_data_rate_matches_full_probe_search(baseline_cfg, master_seed, ceil
                                                  bits_per_probe):
     # Probes that stop once they exceed the error budget must give the
     # answer of the search that runs every probe to the end.
-    cfg = replace(baseline_cfg, master_seed=master_seed)
+    cfg = _variant(baseline_cfg, "sim.master_seed", master_seed)
     expected = _full_probe_search(cfg, ceiling, bits_per_probe, 250)
     assert max_data_rate(cfg, ceiling, bits_per_probe=bits_per_probe, min_rate=250) == expected
 
@@ -260,6 +305,6 @@ def test_emit_csv_nine_significant_digits():
     assert ",0.987654322," in text
 
 
-def test_emit_csv_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        emit_csv([], kind="table")
+def test_emit_csv_rejects_unknown_record_type():
+    with pytest.raises(TypeError):
+        emit_csv([MaxRateResult(250, 5)])

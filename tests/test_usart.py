@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from iptsim.usart import (NinthBitMismatchError, RxFifoEmptyError, SpbrgRangeError,
                           TxBufferFullError, UsartConfig, UsartRx, UsartTx,
-                          actual_baud, brg_divisor, frame_encode, nearest_spbrg)
+                          actual_baud, brg_divisor, frame_encode)
 
 from conftest import bits_to_levels_x16
 
@@ -67,12 +67,6 @@ def test_brg_divisor_error_matches_actual_baud():
         assert actual_baud(cfg) == res.actual
         assert res.error_pct == pytest.approx(
             100 * (res.actual - target) / target, rel=1e-12)
-
-
-def test_nearest_spbrg_clamps():
-    res = nearest_spbrg(4e6, 100)
-    assert res.spbrg == 255
-    assert res.error_pct > 0
 
 
 # ---- framing ----------------------------------------------------------------
