@@ -4,25 +4,29 @@ Files use `section.key = value` lines with `#` comments.  Units are
 canonical SI throughout: Hz, m, V, A, s.  Scripted readings use
 `script.N = <time_s> <temp_c> <speed_rpm> <voltage_v> <current_a>`.
 
-Receiver settings the file omits are derived from the rest of the
-configuration: the noise-filter corner from the carrier, the envelope time
+SETTINGS names every key, its type and its default.  A key's section and
+name say where it goes: build_config fills each parameter object from the
+`section.<field>` settings.  A setting has that one name everywhere, in a
+file, in a dict of overrides, and as the variable of a sweep (setting_key
+also accepts the part after the dot).
+
+Settings the file omits are derived from the rest of the configuration by
+the rules here: the noise-filter corner from the carrier, the envelope time
 constant from carrier and filter order, the comparator threshold from the
 link budget at sim.calibration_gap, the channel noise from sim.snr_db, and
-SPBRG from tx.bit_rate.  build_config is the only place this happens;
-variants such as with_carrier re-resolve through it, so a value the caller
-set stays set.
+SPBRG from tx.bit_rate.  build_config is the only place they run; variants
+such as with_carrier re-resolve through it, so a value the caller set stays
+set.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
-from .channel import CoilPair, LinkParams
+from .channel import CoilPair, LinkParams, voltage_gain
 from .modem import RxParams, TxParams
-from .simulate import (calibrate_threshold, derived_envelope_tau, derived_hf_cutoff,
-                       noise_rms_for_snr)
 from .telemetry import Thresholds
 from .usart import SpbrgRangeError, UsartConfig, brg_divisor
 
@@ -78,8 +82,10 @@ class ScenarioConfig:
             raise ConfigError("script timestamps must be strictly increasing")
 
 
-# Every configuration key with its type and default.  A None default marks a
-# key that build_config derives from the others unless it is set.
+# Every configuration key with its type and default.  A key section.name fills
+# field name of that section's parameter object.  A None default marks a key
+# that build_config derives from the others, by its rule in _DERIVED, unless
+# it is set.
 SETTINGS: dict[str, tuple[type, object]] = {
     "link.l_primary": (float, 1e-3),
     "link.l_secondary": (float, 1e-3),
@@ -115,6 +121,62 @@ SETTINGS: dict[str, tuple[type, object]] = {
     "sim.master_seed": (int, 1234567),
     "sim.snr_db": (float, 20.0),
     "sim.calibration_gap": (float, 0.10),
+}
+
+# Receiver derivation rules.  The envelope smoother must knock the
+# carrier-rate ripple of the rectified drive down by about RIPPLE_REJECTION;
+# cascaded identical sections share that requirement, so each section needs
+# tau = RIPPLE_REJECTION**(1/order) / (2*pi*carrier).  For a single section
+# this is exactly four carrier periods.
+RIPPLE_REJECTION = 8.0 * math.pi
+HF_CUTOFF_CARRIER_RATIO = 2.0
+THRESHOLD_ENVELOPE_FRACTION = 0.3
+
+
+def derived_hf_cutoff(carrier_freq: float) -> float:
+    """Noise-filter corner placed above the carrier so it passes cleanly."""
+    return HF_CUTOFF_CARRIER_RATIO * carrier_freq
+
+
+def derived_envelope_tau(carrier_freq: float, order: int) -> float:
+    """Per-section smoothing time constant for a given cascade order."""
+    return RIPPLE_REJECTION ** (1.0 / order) / (2.0 * math.pi * carrier_freq)
+
+
+def mark_envelope(link: LinkParams, tx: TxParams, q_factor: float) -> float:
+    """Settled envelope level while the carrier is on.
+
+    The rectified drive is a unipolar square of swing ic_on*rc_load at 50%
+    duty, so after the unity-DC-gain filters the envelope sits at half the
+    received swing.
+    """
+    return 0.5 * tx.ic_on * tx.rc_load * voltage_gain(link, tx.carrier_freq, q_factor)
+
+
+def noise_rms_for_snr(link: LinkParams, tx: TxParams, q_factor: float,
+                      snr_db: float) -> float:
+    """Channel noise RMS giving the stated SNR at the receiver input.
+
+    SNR is referenced to the mark-state signal power: the received square
+    of swing A at 50% duty has RMS A/sqrt(2).
+    """
+    swing = tx.ic_on * tx.rc_load * voltage_gain(link, tx.carrier_freq, q_factor)
+    return (swing / math.sqrt(2.0)) / (10.0 ** (snr_db / 20.0))
+
+
+# The rule for each derived key, given the settings, the coil pair and the
+# transmitter.  build_config runs a rule only when its key is unset.
+_DERIVED = {
+    "link.noise_rms": lambda s, coils, tx: noise_rms_for_snr(
+        LinkParams(coils, s["link.gap"]), tx, s["sim.q_factor"], s["sim.snr_db"]),
+    "rx.hf_cutoff": lambda s, coils, tx: derived_hf_cutoff(tx.carrier_freq),
+    "rx.envelope_tau": lambda s, coils, tx: derived_envelope_tau(
+        tx.carrier_freq, s["sim.filter_order"]),
+    # The comparator is sized for the worst-case (largest) air gap.
+    "rx.threshold": lambda s, coils, tx: THRESHOLD_ENVELOPE_FRACTION * mark_envelope(
+        LinkParams(coils, s["sim.calibration_gap"]), tx, s["sim.q_factor"]),
+    "usart.spbrg": lambda s, coils, tx: brg_divisor(
+        s["usart.fosc"], tx.bit_rate, brgh=s["usart.brgh"]).spbrg,
 }
 
 _DEFAULT_SCRIPT = (ScriptStep(0.0, 25.0, 1450.0, 230.0, 1.5),)
@@ -154,6 +216,16 @@ def _coerce(key: str, value):
     return typed
 
 
+def setting_key(name: str) -> str:
+    """The SETTINGS key called name, in full or by its part after the dot."""
+    if name in SETTINGS:
+        return name
+    matches = [key for key in SETTINGS if key.split(".", 1)[1] == name]
+    if len(matches) != 1:
+        raise ConfigError(f"unknown configuration key {name!r}")
+    return matches[0]
+
+
 def _parse_script_step(key: str, raw: str) -> ScriptStep:
     parts = raw.split()
     if len(parts) != 5:
@@ -191,6 +263,13 @@ def parse_config_text(text: str) -> tuple[dict[str, object], list[ScriptStep]]:
     return values, steps
 
 
+def _fill(cls, section: str, settings: dict[str, object], /, **given):
+    """cls with every field that has a section.<field> setting read from it."""
+    named = {f.name: settings[f"{section}.{f.name}"] for f in fields(cls)
+             if f"{section}.{f.name}" in settings}
+    return cls(**named, **given)
+
+
 def build_config(values: dict[str, object] | None = None,
                  script: list[ScriptStep] | None = None) -> ScenarioConfig:
     """Resolve a ScenarioConfig from overrides of the SETTINGS defaults."""
@@ -201,86 +280,27 @@ def build_config(values: dict[str, object] | None = None,
     for step in script:
         if not all(map(math.isfinite, astuple(step))):
             raise ConfigError(f"script values must be finite, got {astuple(step)}")
-    filter_order = settings["sim.filter_order"]
-    if filter_order not in (1, 2, 3):
+    if settings["sim.filter_order"] not in (1, 2, 3):
         raise ConfigError("sim.filter_order must be 1, 2, or 3")
-    q_factor = settings["sim.q_factor"]
 
     try:
-        coils = CoilPair(
-            l_primary=settings["link.l_primary"],
-            l_secondary=settings["link.l_secondary"],
-            c_tank=settings["link.c_tank"],
-            k0=settings["link.k0"],
-            decay_length=settings["link.decay_length"],
-        )
-        tx = TxParams(
-            carrier_freq=settings["tx.carrier_freq"],
-            sample_rate=settings["tx.sample_rate"],
-            bit_rate=settings["tx.bit_rate"],
-            vcc=settings["tx.vcc"],
-            rc_load=settings["tx.rc_load"],
-            ic_on=settings["tx.ic_on"],
-        )
-        thresholds = Thresholds(
-            temp_max_c=settings["thresholds.temp_max_c"],
-            speed_max_rpm=settings["thresholds.speed_max_rpm"],
-            speed_min_rpm=settings["thresholds.speed_min_rpm"],
-            volt_max_v=settings["thresholds.volt_max_v"],
-            volt_min_v=settings["thresholds.volt_min_v"],
-            curr_max_a=settings["thresholds.curr_max_a"],
-            hysteresis_fraction=settings["thresholds.hysteresis_fraction"],
-        )
-        quiet_link = LinkParams(coils=coils, gap=settings["link.gap"])
-        noise_rms = settings["link.noise_rms"]
-        if noise_rms is None:
-            noise_rms = noise_rms_for_snr(quiet_link, tx, q_factor, settings["sim.snr_db"])
-        hf_cutoff = settings["rx.hf_cutoff"]
-        if hf_cutoff is None:
-            hf_cutoff = derived_hf_cutoff(tx.carrier_freq)
-        envelope_tau = settings["rx.envelope_tau"]
-        if envelope_tau is None:
-            envelope_tau = derived_envelope_tau(tx.carrier_freq, filter_order)
-        threshold = settings["rx.threshold"]
-        if threshold is None:
-            threshold = calibrate_threshold(quiet_link, tx, q_factor,
-                                            settings["sim.calibration_gap"])
-        rx = RxParams(
-            hf_cutoff=hf_cutoff,
-            envelope_tau=envelope_tau,
-            threshold=threshold,
-            envelope_order=filter_order,
-        )
-        spbrg = settings["usart.spbrg"]
-        if spbrg is None:
-            spbrg = brg_divisor(settings["usart.fosc"], tx.bit_rate,
-                                brgh=settings["usart.brgh"]).spbrg
-        usart = UsartConfig(
-            fosc=settings["usart.fosc"],
-            spbrg=spbrg,
-            brgh=settings["usart.brgh"],
-            nine_bit=settings["usart.nine_bit"],
-        )
-        link = LinkParams(coils=coils, gap=settings["link.gap"], noise_rms=noise_rms)
+        coils = _fill(CoilPair, "link", settings)
+        tx = _fill(TxParams, "tx", settings)
+        thresholds = _fill(Thresholds, "thresholds", settings)
+        resolved = dict(settings)
+        for key, rule in _DERIVED.items():
+            if resolved[key] is None:
+                resolved[key] = rule(settings, coils, tx)
+        rx = _fill(RxParams, "rx", resolved, envelope_order=settings["sim.filter_order"])
+        usart = _fill(UsartConfig, "usart", resolved)
+        link = _fill(LinkParams, "link", resolved, coils=coils)
     except SpbrgRangeError as exc:
         raise ConfigError(f"tx.bit_rate, usart.fosc, usart.brgh: {exc}; "
                           "pin usart.spbrg to choose the divisor") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return ScenarioConfig(
-        link=link,
-        tx=tx,
-        rx=rx,
-        usart=usart,
-        thresholds=thresholds,
-        script=script,
-        duration_s=settings["sim.duration_s"],
-        q_factor=q_factor,
-        poll_interval_s=settings["sim.poll_interval_s"],
-        master_seed=settings["sim.master_seed"],
-        settings=settings,
-    )
+    return _fill(ScenarioConfig, "sim", settings, link=link, tx=tx, rx=rx, usart=usart,
+                 thresholds=thresholds, script=script, settings=settings)
 
 
 def load_config(path: str | None = None) -> ScenarioConfig:
@@ -304,10 +324,9 @@ def with_settings(cfg: ScenarioConfig, values: dict[str, object]) -> ScenarioCon
 def derived_settings(cfg: ScenarioConfig) -> dict[str, object]:
     """The values cfg resolved for the keys build_config derives; with_settings holds them."""
     derived = {}
-    for key, (_, default) in SETTINGS.items():
-        if default is None:
-            section, name = key.split(".")
-            derived[key] = getattr(getattr(cfg, section), name)
+    for key in _DERIVED:
+        section, name = key.split(".")
+        derived[key] = getattr(getattr(cfg, section), name)
     return derived
 
 

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, ScenarioConfig, derived_settings, with_settings
+from .config import (ConfigError, ScenarioConfig, derived_settings, setting_key,
+                     with_settings)
 from .seeds import derive_seed
 from .simulate import IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, run_line
 from .telemetry import (FaultSet, MotorState, POLL_FRAME_LEN, READING_FRAME_LEN,
@@ -218,12 +219,9 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
     return report, traces
 
 
-_SWEEP_KEYS = {"gap": "link.gap", "noise_rms": "link.noise_rms", "bit_rate": "tx.bit_rate"}
-
-
-def _point_config(cfg: ScenarioConfig, variable: str, value: float) -> ScenarioConfig:
+def _point_config(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
     """cfg with one setting changed and every value cfg derived held."""
-    return with_settings(cfg, {**derived_settings(cfg), _SWEEP_KEYS[variable]: value})
+    return with_settings(cfg, {**derived_settings(cfg), key: value})
 
 
 def _random_reading_frames(n_frames: int, seed: int) -> bytes:
@@ -242,14 +240,15 @@ def _random_reading_frames(n_frames: int, seed: int) -> bytes:
 
 def ber_sweep(cfg: ScenarioConfig, variable: str, values,
               bits_per_point: int = 10_000) -> list[SweepResult]:
-    """Measure BER and frame delivery across a parameter sweep.
+    """Measure BER and frame delivery across a sweep of one setting.
 
-    Each point sends back-to-back random reading frames through the full
-    stack and gets its own derived seed, so results are reproducible and
-    independent of evaluation order.
+    variable is a SETTINGS key or its name after the dot (config.setting_key),
+    and each value is read by the key's type, as in a config file.  Each
+    point holds every value cfg derived, sends back-to-back random reading
+    frames through the full stack and gets its own derived seed, so results
+    are reproducible and independent of evaluation order.
     """
-    if variable not in _SWEEP_KEYS:
-        raise ValueError(f"sweep variable must be one of {tuple(_SWEEP_KEYS)}, got {variable!r}")
+    key = setting_key(variable)
     values = list(values)
     if not values:
         raise ValueError("sweep needs at least one value")
@@ -261,12 +260,12 @@ def ber_sweep(cfg: ScenarioConfig, variable: str, values,
     for index, value in enumerate(values):
         seed = derive_seed(cfg.master_seed, index)
         payload = _random_reading_frames(n_frames, derive_seed(seed, 1))
-        found, bits, errors = _send(_point_config(cfg, variable, value), payload,
-                                    derive_seed(seed, 2))
+        point = _point_config(cfg, key, value)
+        found, bits, errors = _send(point, payload, derive_seed(seed, 2))
         delivered = sum(1 for f in found if f.msg_type in (MSG_READING, MSG_FAULT_ALARM))
         results.append(SweepResult(
-            var=float(value), bits_sent=bits, bit_errors=errors, ber=errors / bits,
-            frames_sent=n_frames, frames_delivered=min(delivered, n_frames)))
+            var=float(point.settings[key]), bits_sent=bits, bit_errors=errors,
+            ber=errors / bits, frames_sent=n_frames, frames_delivered=min(delivered, n_frames)))
     return results
 
 
@@ -291,7 +290,7 @@ def _probe_passes(cfg: ScenarioConfig, rate: int, bits_per_probe: int,
     seed = derive_seed(cfg.master_seed, rate)
     rng = np.random.default_rng(derive_seed(seed, 1))
     line_bits = rng.integers(0, 2, bits_per_probe).astype(np.uint8)
-    pcfg = _point_config(cfg, "bit_rate", float(rate))
+    pcfg = _point_config(cfg, "tx.bit_rate", rate)
     mids, _ = run_line(line_bits, pcfg.link, pcfg.tx, pcfg.rx, pcfg.q_factor,
                        derive_seed(seed, 2), max_errors=max_errors)
     return int(np.count_nonzero(mids != line_bits[:mids.size])) <= max_errors

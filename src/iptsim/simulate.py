@@ -7,7 +7,8 @@ One call to run_line() pushes a sequence of NRZ bit-period levels through
 
 and returns the logic level sampled at every bit midpoint.  Optionally the
 logic waveform is decimated onto the USART's x16 grid (nearest sample) and
-fed to a receiver instance whose delivered words are collected.
+fed to a receiver instance whose delivered words are collected.  The
+receiver settings it runs with are derived in iptsim.config.
 
 The static collector rail carries no flux, so the link input is the switch
 output minus vcc: zero during 0-bits, a unipolar square at the carrier rate
@@ -28,8 +29,6 @@ GIL inside the large array operations.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -40,15 +39,6 @@ from .modem import (HYSTERESIS_FRACTION, RxParams, TxParams, hysteresis_compare,
                     lowpass_coeffs, smoothing_coeffs)
 from .usart import UsartRx
 
-# Receiver derivation rules.  The envelope smoother must knock the
-# carrier-rate ripple of the rectified drive down by about RIPPLE_REJECTION;
-# cascaded identical sections share that requirement, so each section needs
-# tau = RIPPLE_REJECTION**(1/order) / (2*pi*carrier).  For a single section
-# this is exactly four carrier periods.
-RIPPLE_REJECTION = 8.0 * math.pi
-HF_CUTOFF_CARRIER_RATIO = 2.0
-THRESHOLD_ENVELOPE_FRACTION = 0.3
-
 IDLE_PREAMBLE_BITS = 12
 IDLE_TAIL_BITS = 4
 _CHUNK_SAMPLES = 1 << 16
@@ -57,44 +47,6 @@ _CHUNK_SAMPLES = 1 << 16
 # sample this close (in samples) to a nominal zero crossing.  Those samples
 # take their sign from np.sin itself.
 _ZERO_CROSSING_TOLERANCE = 1e-3
-
-
-def derived_hf_cutoff(carrier_freq: float) -> float:
-    """Noise-filter corner placed above the carrier so it passes cleanly."""
-    return HF_CUTOFF_CARRIER_RATIO * carrier_freq
-
-
-def derived_envelope_tau(carrier_freq: float, order: int) -> float:
-    """Per-section smoothing time constant for a given cascade order."""
-    return RIPPLE_REJECTION ** (1.0 / order) / (2.0 * math.pi * carrier_freq)
-
-
-def mark_envelope(link: LinkParams, tx: TxParams, q_factor: float) -> float:
-    """Settled envelope level while the carrier is on.
-
-    The rectified drive is a unipolar square of swing ic_on*rc_load at 50%
-    duty, so after the unity-DC-gain filters the envelope sits at half the
-    received swing.
-    """
-    return 0.5 * tx.ic_on * tx.rc_load * voltage_gain(link, tx.carrier_freq, q_factor)
-
-
-def calibrate_threshold(link: LinkParams, tx: TxParams, q_factor: float,
-                        calibration_gap: float) -> float:
-    """Comparator threshold sized for the worst-case (largest) air gap."""
-    worst = dataclasses.replace(link, gap=calibration_gap)
-    return THRESHOLD_ENVELOPE_FRACTION * mark_envelope(worst, tx, q_factor)
-
-
-def noise_rms_for_snr(link: LinkParams, tx: TxParams, q_factor: float,
-                      snr_db: float) -> float:
-    """Channel noise RMS giving the stated SNR at the receiver input.
-
-    SNR is referenced to the mark-state signal power: the received square
-    of swing A at 50% duty has RMS A/sqrt(2).
-    """
-    swing = tx.ic_on * tx.rc_load * voltage_gain(link, tx.carrier_freq, q_factor)
-    return (swing / math.sqrt(2.0)) / (10.0 ** (snr_db / 20.0))
 
 
 def as_bits(bits) -> np.ndarray:
@@ -108,7 +60,7 @@ def as_bits(bits) -> np.ndarray:
 
 
 class _LineChain:
-    """Per-run filter, comparator, noise, and grid state, one method per stage."""
+    """Per-run filter, comparator and noise state, one method per stage."""
 
     def __init__(self, link: LinkParams, tx: TxParams, rx: RxParams,
                  q_factor: float, noise_seed: int):
@@ -127,7 +79,6 @@ class _LineChain:
         self.cmp_high = rx.threshold * (1.0 + HYSTERESIS_FRACTION)
         self.cmp_low = rx.threshold * (1.0 - HYSTERESIS_FRACTION)
         self.rng = np.random.default_rng(noise_seed)
-        self.sub_index = 0  # next x16 grid point to emit
 
     def drive(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
         """Switch output minus the rail for bits [k0, k0+len), and its sample span.
@@ -226,10 +177,9 @@ def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
             mid_idx = np.rint((np.arange(k0, k1) + 0.5) * chain.spb).astype(np.int64)
             mids[k0:k1] = logic[np.minimum(mid_idx, n1 - 1) - n0]
             if usart_rx is not None:
-                grid = np.arange(chain.sub_index, math.ceil(n1 / chain.sub_stride) + 1)
+                # Bits [k0, k1) span exactly x16 grid points 16*k0 .. 16*k1-1.
+                grid = np.arange(16 * k0, 16 * k1)
                 sub_idx = np.rint(grid * chain.sub_stride).astype(np.int64)
-                sub_idx = sub_idx[sub_idx < n1]
-                chain.sub_index += sub_idx.size
                 for level in logic[sub_idx - n0].tolist():
                     usart_rx.sample(level)
                     if usart_rx.rcif:

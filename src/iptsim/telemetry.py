@@ -68,23 +68,16 @@ class FrameRangeError(ValueError):
 
 @dataclass(frozen=True)
 class MotorState:
-    """Sensor readings for one acquisition instant.
-
-    teeth is the rotor target count used by the tachometer; it never
-    travels on the wire, so decoded states carry the default.
-    """
+    """Sensor readings for one acquisition instant."""
 
     temp_c: float
     speed_rpm: float
     voltage_v: float
     current_a: float
-    teeth: int = 1
 
     def __post_init__(self):
         if self.speed_rpm < 0:
             raise ValueError("speed_rpm must be non-negative")
-        if self.teeth < 1:
-            raise ValueError("teeth must be at least 1")
         for name in ("temp_c", "speed_rpm", "voltage_v", "current_a"):
             v = getattr(self, name)
             if not np.isfinite(v):

@@ -104,7 +104,7 @@ def brg_divisor(fosc: float, target: float, sync: bool = False,
         raise SpbrgRangeError(
             f"target {target} baud needs SPBRG={x}, outside 0..255 "
             f"(fosc={fosc}, divisor {d})")
-    actual = fosc / (d * (x + 1))
+    actual = actual_baud(UsartConfig(fosc, x, sync, brgh))
     return BrgResult(x, actual, 100.0 * (actual - target) / target)
 
 

@@ -86,10 +86,25 @@ def test_sweep_subcommand_stdout(cfg_file, capsys):
 
 def test_sweep_to_file(cfg_file, tmp_path, capsys):
     out_path = tmp_path / "sweep.csv"
-    assert main(["sweep", str(cfg_file), "--var", "noise",
+    assert main(["sweep", str(cfg_file), "--var", "noise_rms",
                  "--values", "0.0", "--bits", "1000",
                  "--out", str(out_path)]) == 0
     assert out_path.read_text(encoding="utf-8").count("\n") == 2
+
+
+@pytest.mark.parametrize("var,values", [("link.c_tank", "2.5330296e-7,2.8e-7"),
+                                        ("sim.filter_order", "1,2")])
+def test_sweep_any_key(cfg_file, capsys, var, values):
+    # Values parse by the key's type, so an integer key takes "1,2".
+    assert main(["sweep", str(cfg_file), "--var", var,
+                 "--values", values, "--bits", "1000"]) == 0
+    assert len(capsys.readouterr().out.strip().splitlines()) == 3
+
+
+def test_sweep_unknown_key_exit_code(cfg_file, capsys):
+    assert main(["sweep", str(cfg_file), "--var", "noise",
+                 "--values", "0.0", "--bits", "1000"]) == 1
+    assert "'noise'" in capsys.readouterr().err
 
 
 def test_maxrate_no_feasible_rate_exit_code(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from iptsim.config import (SETTINGS, ConfigError, ScriptStep, build_config,
                            derived_settings, load_config, parse_config_text,
-                           with_carrier, with_settings)
+                           setting_key, with_carrier, with_settings)
 from iptsim.channel import resonant_frequency
 from iptsim.harness import run_scenario
 
@@ -22,7 +22,7 @@ def test_defaults_resolve(baseline_cfg):
 
 def test_threshold_calibrated_for_ten_cm(baseline_cfg):
     # 30% of the settled mark envelope at the calibration gap.
-    from iptsim.simulate import mark_envelope
+    from iptsim.config import mark_envelope
     import dataclasses
     worst = dataclasses.replace(baseline_cfg.link, gap=0.10)
     expected = 0.3 * mark_envelope(worst, baseline_cfg.tx, baseline_cfg.q_factor)
@@ -169,6 +169,16 @@ def test_derived_settings_are_the_resolved_values(baseline_cfg):
     assert derived["link.noise_rms"] == baseline_cfg.link.noise_rms
     held = with_settings(baseline_cfg, {**derived, "sim.snr_db": 0.0})
     assert held.link.noise_rms == baseline_cfg.link.noise_rms
+
+
+def test_setting_key_takes_a_key_or_its_name():
+    assert len({key.split(".")[1] for key in SETTINGS}) == len(SETTINGS)
+    assert setting_key("link.c_tank") == "link.c_tank"
+    assert setting_key("gap") == "link.gap"
+    assert setting_key("bit_rate") == "tx.bit_rate"
+    for name in ("coupling", "noise"):
+        with pytest.raises(ConfigError, match=repr(name)):
+            setting_key(name)
 
 
 def test_explicit_noise_overrides_snr():

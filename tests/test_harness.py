@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from iptsim import harness
+from iptsim.channel import voltage_gain
 from iptsim.config import ScriptStep, build_config, derived_settings, with_settings
 from iptsim.harness import (MaxRateResult, NoFeasibleRateError, SweepResult, TraceRecord,
                             _error_budget, _point_config, ber_sweep, emit_csv,
@@ -145,7 +146,7 @@ def test_nine_bit_mode_end_to_end():
                                                 ("bit_rate", "tx.bit_rate", 400.0)])
 def test_point_config_re_resolves_to_itself(baseline_cfg, variable, key, value):
     # A point holds what the base derived, so re-resolving it changes nothing.
-    point = _point_config(baseline_cfg, variable, value)
+    point = _point_config(baseline_cfg, key, value)
     assert point.settings[key] == value
     assert with_settings(point, {}) == point
     for held in ("rx", "usart"):
@@ -157,10 +158,25 @@ def test_point_config_re_resolves_to_itself(baseline_cfg, variable, key, value):
 def test_low_rate_points_hold_spbrg(baseline_cfg):
     # 50 and 100 bit/s are out of the baud-rate generator's reach at 4 MHz, so
     # a point that derived SPBRG again would be a ConfigError.
-    probe = _point_config(baseline_cfg, "bit_rate", 50.0)
+    probe = _point_config(baseline_cfg, "tx.bit_rate", 50.0)
     assert probe.tx.bit_rate == 50.0 and probe.usart.spbrg == baseline_cfg.usart.spbrg
     [point] = ber_sweep(baseline_cfg, "bit_rate", [100.0], bits_per_point=1000)
     assert point.var == 100.0 and point.frames_sent > 0
+
+
+def test_sweep_any_key_holds_the_calibration(baseline_cfg):
+    # A +10% pickup capacitor detunes the tank; the point keeps the base's
+    # receiver, noise and SPBRG, so only the link gain changes (Q = 10).
+    c = baseline_cfg.link.coils.c_tank
+    results = ber_sweep(baseline_cfg, "link.c_tank", [c, 1.1 * c], bits_per_point=1000)
+    assert [r.var for r in results] == [c, 1.1 * c]
+    point = _point_config(baseline_cfg, "link.c_tank", 1.1 * c)
+    assert point.rx == baseline_cfg.rx
+    assert point.link.noise_rms == baseline_cfg.link.noise_rms
+    assert point.usart.spbrg == baseline_cfg.usart.spbrg
+    gain = [voltage_gain(cfg.link, cfg.tx.carrier_freq, cfg.q_factor)
+            for cfg in (baseline_cfg, point)]
+    assert gain[1] / gain[0] == pytest.approx(0.7237, abs=1e-4)
 
 
 def test_sweep_validates_arguments(baseline_cfg):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
 from iptsim.channel import CoilPair, LinkParams
+from iptsim.config import noise_rms_for_snr
 from iptsim.modem import RxParams, TxParams, hysteresis_compare, lowpass_coeffs
-from iptsim.simulate import _LineChain, noise_rms_for_snr, run_line
+from iptsim.simulate import _LineChain, run_line
 
 from conftest import reference_compare
 

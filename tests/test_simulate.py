@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iptsim import simulate
+from iptsim.config import (derived_envelope_tau, derived_hf_cutoff, mark_envelope,
+                           noise_rms_for_snr)
 from iptsim.harness import frame_line_bits
-from iptsim.simulate import (_LineChain, derived_envelope_tau, derived_hf_cutoff,
-                             mark_envelope, noise_rms_for_snr, run_line)
+from iptsim.simulate import _LineChain, run_line
 from iptsim.usart import UsartRx
 
 from conftest import reference_logic, reference_mids
@@ -48,11 +49,20 @@ def test_run_line_matches_composed_ops_noisy_multichunk(baseline_cfg):
     assert np.array_equal(mids, reference_mids(bits, cfg, 77))
 
 
-@pytest.mark.parametrize("bit_rate", [413.0, 1000.0])
-def test_run_line_x16_feed_matches_loop_reference(baseline_cfg, bit_rate):
+@pytest.mark.parametrize("bit_rate,chunk_samples", [
+    pytest.param(413.0, None, id="413.0"),
+    pytest.param(1000.0, None, id="1000.0"),
+    pytest.param(413.0, 1, id="413.0-one-bit-chunks"),
+    pytest.param(1000.0, 1, id="1000.0-one-bit-chunks"),
+])
+def test_run_line_x16_feed_matches_loop_reference(baseline_cfg, monkeypatch, bit_rate,
+                                                  chunk_samples):
     # The receiver must see the reference logic level at round(j * spb/16)
     # for every grid point j inside the stream, found here with a scalar loop.
     # At 1000 bit/s the stride is 62.5 samples, so every other point is a tie.
+    # One-bit chunks put a chunk boundary after every bit.
+    if chunk_samples is not None:
+        monkeypatch.setattr(simulate, "_CHUNK_SAMPLES", chunk_samples)
     cfg = replace(baseline_cfg, tx=replace(baseline_cfg.tx, bit_rate=bit_rate))
     bits = np.random.default_rng(21).integers(0, 2, 600).astype(np.uint8)
     rx = _RecordingRx(cfg.usart)

@@ -142,8 +142,6 @@ def test_motor_state_invariants():
     with pytest.raises(ValueError):
         MotorState(25.0, -10.0, 230.0, 1.5)
     with pytest.raises(ValueError):
-        MotorState(25.0, 1450.0, 230.0, 1.5, teeth=0)
-    with pytest.raises(ValueError):
         MotorState(float("nan"), 1450.0, 230.0, 1.5)
 
 
