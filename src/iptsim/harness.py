@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (ConfigError, ScenarioConfig, derived_settings, setting_key,
-                     with_settings)
+from .config import (ConfigError, ScenarioConfig, _coerce, derived_settings,
+                     setting_key, with_settings)
 from .seeds import derive_seed
 from .simulate import IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, run_line
 from .telemetry import (FaultSet, MotorState, POLL_FRAME_LEN, READING_FRAME_LEN,
@@ -23,7 +23,7 @@ from .usart import UsartRx, UsartTx, actual_baud
 
 
 class NoFeasibleRateError(RuntimeError):
-    """Even the minimum probed bit rate missed the BER ceiling."""
+    """No probed bit rate met the BER ceiling, or min_rate is above the carrier limit."""
 
 
 @dataclass(frozen=True)
@@ -243,13 +243,17 @@ def ber_sweep(cfg: ScenarioConfig, variable: str, values,
     """Measure BER and frame delivery across a sweep of one setting.
 
     variable is a SETTINGS key or its name after the dot (config.setting_key),
-    and each value is read by the key's type, as in a config file.  Each
-    point holds every value cfg derived, sends back-to-back random reading
-    frames through the full stack and gets its own derived seed, so results
-    are reproducible and independent of evaluation order.
+    and each value is read by the key's type, as in a config file.  Every
+    value is checked before any point runs; a value the key cannot take, or
+    None, is a ConfigError naming the key.  Each point holds every value cfg
+    derived, sends back-to-back random reading frames through the full stack
+    and gets its own derived seed, so results are reproducible and
+    independent of evaluation order.
     """
     key = setting_key(variable)
-    values = list(values)
+    values = [_coerce(key, value) for value in values]
+    if None in values:
+        raise ConfigError(f"{key}: a sweep value cannot be None")
     if not values:
         raise ValueError("sweep needs at least one value")
     if bits_per_point < 1000:
@@ -264,7 +268,7 @@ def ber_sweep(cfg: ScenarioConfig, variable: str, values,
         found, bits, errors = _send(point, payload, derive_seed(seed, 2))
         delivered = sum(1 for f in found if f.msg_type in (MSG_READING, MSG_FAULT_ALARM))
         results.append(SweepResult(
-            var=float(point.settings[key]), bits_sent=bits, bit_errors=errors,
+            var=float(value), bits_sent=bits, bit_errors=errors,
             ber=errors / bits, frames_sent=n_frames, frames_delivered=min(delivered, n_frames)))
     return results
 
@@ -306,6 +310,11 @@ def max_data_rate(cfg: ScenarioConfig, ber_ceiling: float,
     _error_budget(ber_ceiling, bits_per_probe) errors.  It stops at the end of
     the chunk that exceeds that budget, since it has then failed whatever the
     rest would show, so the answer is that of probes run to the end.  The
+    carrier limit is probed first, then the bisection runs from min_rate
+    without probing it: as the bisection assumes, BER rises with rate, so a
+    pass at any faster rate implies that min_rate passes.  min_rate is
+    probed last, and only when no other probe passed; NoFeasibleRateError
+    means that no probed rate met the ceiling.  No rate is probed twice.  The
     reported resolution is the unexplored interval left when the search
     stopped.
     """
@@ -317,21 +326,23 @@ def max_data_rate(cfg: ScenarioConfig, ber_ceiling: float,
         raise ValueError(f"min_rate must be at least 1 bit/s, got {min_rate}")
     budget = _error_budget(ber_ceiling, bits_per_probe)
     hi = int(cfg.tx.carrier_freq // 10)
-    lo = int(min_rate)
+    lo = lowest = int(min_rate)
     if lo > hi:
         raise NoFeasibleRateError(f"minimum rate {lo} exceeds the carrier limit {hi}")
-    if not _probe_passes(cfg, lo, bits_per_probe, budget):
-        raise NoFeasibleRateError(
-            f"BER exceeds {ber_ceiling} even at the minimum rate {lo} bit/s")
     if _probe_passes(cfg, hi, bits_per_probe, budget):
         return MaxRateResult(hi, 0)
-    # invariant: lo feasible, hi infeasible
+    # invariant: hi infeasible; lo feasible, or still the unprobed min_rate
     while hi - lo > max(1, int(0.02 * lo)):
         mid = (lo + hi) // 2
         if _probe_passes(cfg, mid, bits_per_probe, budget):
             lo = mid
         else:
             hi = mid
+    # Every passing probe moved lo above min_rate, and hi stays above it
+    # unless min_rate is the carrier limit, already probed.
+    if lo == lowest and (lo == hi or not _probe_passes(cfg, lo, bits_per_probe, budget)):
+        raise NoFeasibleRateError(
+            f"BER exceeds {ber_ceiling} at every probed rate, down to {lo} bit/s")
     return MaxRateResult(lo, hi - lo)
 
 

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import pytest
 
+from iptsim import harness
 from iptsim.cli import main
 
 BASELINE = """
@@ -105,6 +106,16 @@ def test_sweep_unknown_key_exit_code(cfg_file, capsys):
     assert main(["sweep", str(cfg_file), "--var", "noise",
                  "--values", "0.0", "--bits", "1000"]) == 1
     assert "'noise'" in capsys.readouterr().err
+
+
+def test_sweep_bad_value_exits_before_any_point(cfg_file, capsys, monkeypatch):
+    def no_run_line(*args, **kwargs):
+        raise AssertionError("a point ran before every value was checked")
+
+    monkeypatch.setattr(harness, "run_line", no_run_line)
+    assert main(["sweep", str(cfg_file), "--var", "gap",
+                 "--values", "0.05,abc", "--bits", "1000"]) == 1
+    assert "link.gap" in capsys.readouterr().err
 
 
 def test_maxrate_no_feasible_rate_exit_code(tmp_path, capsys):

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from iptsim import harness
 from iptsim.channel import voltage_gain
-from iptsim.config import ScriptStep, build_config, derived_settings, with_settings
+from iptsim.config import (ConfigError, ScriptStep, build_config, derived_settings,
+                           with_settings)
 from iptsim.harness import (MaxRateResult, NoFeasibleRateError, SweepResult, TraceRecord,
                             _error_budget, _point_config, ber_sweep, emit_csv,
                             frame_line_bits, max_data_rate, run_scenario,
@@ -179,6 +180,21 @@ def test_sweep_any_key_holds_the_calibration(baseline_cfg):
     assert gain[1] / gain[0] == pytest.approx(0.7237, abs=1e-4)
 
 
+def _no_run_line(*args, **kwargs):
+    raise AssertionError("a point ran before every value was checked")
+
+
+@pytest.mark.parametrize("variable,values,key", [
+    ("link.noise_rms", [None], "link.noise_rms"),
+    ("gap", [0.05, 0.10, "abc"], "link.gap"),
+])
+def test_sweep_checks_every_value_before_any_point(baseline_cfg, monkeypatch, variable,
+                                                   values, key):
+    monkeypatch.setattr(harness, "run_line", _no_run_line)
+    with pytest.raises(ConfigError, match=key):
+        ber_sweep(baseline_cfg, variable, values, bits_per_point=1000)
+
+
 def test_sweep_validates_arguments(baseline_cfg):
     with pytest.raises(ValueError):
         ber_sweep(baseline_cfg, "coupling", [0.1])
@@ -230,29 +246,38 @@ def test_error_budget_is_the_largest_passing_count(ceiling, bits):
     assert budget / bits <= ceiling < (budget + 1) / bits
 
 
-def _full_probe_search(cfg, ber_ceiling, bits_per_probe, min_rate):
-    """The bisection of max_data_rate, each probe run to its last bit."""
-    def ber(rate):
-        seed = derive_seed(cfg.master_seed, rate)
-        rng = np.random.default_rng(derive_seed(seed, 1))
-        line_bits = rng.integers(0, 2, bits_per_probe).astype(np.uint8)
-        tx = replace(cfg.tx, bit_rate=float(rate))
-        mids, _ = run_line(line_bits, cfg.link, tx, cfg.rx, cfg.q_factor, derive_seed(seed, 2))
-        assert mids.size == bits_per_probe
-        return int(np.count_nonzero(mids != line_bits)) / bits_per_probe
+def _full_probe_ber(cfg, rate, bits_per_probe):
+    """BER of one max_data_rate probe run to its last bit."""
+    seed = derive_seed(cfg.master_seed, rate)
+    rng = np.random.default_rng(derive_seed(seed, 1))
+    line_bits = rng.integers(0, 2, bits_per_probe).astype(np.uint8)
+    tx = replace(cfg.tx, bit_rate=float(rate))
+    mids, _ = run_line(line_bits, cfg.link, tx, cfg.rx, cfg.q_factor, derive_seed(seed, 2))
+    assert mids.size == bits_per_probe
+    return int(np.count_nonzero(mids != line_bits)) / bits_per_probe
 
-    lo, hi = min_rate, int(cfg.tx.carrier_freq // 10)
-    if ber(lo) > ber_ceiling:
-        raise NoFeasibleRateError(f"minimum rate {lo}")
-    if ber(hi) <= ber_ceiling:
+
+def _full_bisection(cfg, ber_ceiling, bits_per_probe, lo):
+    """The bisection of max_data_rate from lo, taken as feasible, each probe
+    run to its last bit."""
+    hi = int(cfg.tx.carrier_freq // 10)
+    if _full_probe_ber(cfg, hi, bits_per_probe) <= ber_ceiling:
         return MaxRateResult(hi, 0)
     while hi - lo > max(1, int(0.02 * lo)):
         mid = (lo + hi) // 2
-        if ber(mid) <= ber_ceiling:
+        if _full_probe_ber(cfg, mid, bits_per_probe) <= ber_ceiling:
             lo = mid
         else:
             hi = mid
     return MaxRateResult(lo, hi - lo)
+
+
+def _full_probe_search(cfg, ber_ceiling, bits_per_probe, min_rate):
+    """The search that probes min_rate first and raises if it fails, then
+    bisects, each probe run to its last bit."""
+    if _full_probe_ber(cfg, min_rate, bits_per_probe) > ber_ceiling:
+        raise NoFeasibleRateError(f"minimum rate {min_rate}")
+    return _full_bisection(cfg, ber_ceiling, bits_per_probe, min_rate)
 
 
 @settings(max_examples=10, deadline=None)
@@ -265,23 +290,78 @@ def _full_probe_search(cfg, ber_ceiling, bits_per_probe, min_rate):
 def test_max_data_rate_matches_full_probe_search(baseline_cfg, master_seed, ceiling,
                                                  bits_per_probe):
     # Probes that stop once they exceed the error budget must give the
-    # answer of the search that runs every probe to the end.
+    # answer of the search that runs every probe to the end.  Where min_rate
+    # fails, the search raises only if no faster probe passes either.
     cfg = _variant(baseline_cfg, "sim.master_seed", master_seed)
-    expected = _full_probe_search(cfg, ceiling, bits_per_probe, 250)
+    try:
+        expected = _full_probe_search(cfg, ceiling, bits_per_probe, 250)
+    except NoFeasibleRateError:
+        expected = _full_bisection(cfg, ceiling, bits_per_probe, 250)
+        if expected.rate_bps == 250:
+            with pytest.raises(NoFeasibleRateError):
+                max_data_rate(cfg, ceiling, bits_per_probe=bits_per_probe, min_rate=250)
+            return
     assert max_data_rate(cfg, ceiling, bits_per_probe=bits_per_probe, min_rate=250) == expected
 
 
 def test_max_data_rate_probes_through_harness_run_line(baseline_cfg, monkeypatch):
-    # perfbench's tracer counts probes by rebinding harness.run_line.
-    limits = []
+    # perfbench's tracer counts probes by rebinding harness.run_line.  The
+    # baseline search probes the carrier limit first and never needs its
+    # 50 bit/s floor, since a faster probe passes.
+    probes = []
 
-    def recording(*args, max_errors=None, **kwargs):
-        limits.append(max_errors)
-        return run_line(*args, max_errors=max_errors, **kwargs)
+    def recording(line_bits, link, tx, *args, max_errors=None, **kwargs):
+        probes.append((tx.bit_rate, max_errors))
+        return run_line(line_bits, link, tx, *args, max_errors=max_errors, **kwargs)
 
     monkeypatch.setattr(harness, "run_line", recording)
-    max_data_rate(baseline_cfg, 1e-3, bits_per_probe=100, min_rate=250)
-    assert limits and set(limits) == {0}
+    assert max_data_rate(baseline_cfg, 1e-3) == MaxRateResult(413, 7)
+    assert [rate for rate, _ in probes] == [1000, 525, 287, 406, 465, 435, 420, 413]
+    assert {limit for _, limit in probes} == {2}
+
+
+def _stub_probes(monkeypatch, passes):
+    """Replace each probe by passes(rate); returns the rates probed, in order."""
+    probed = []
+
+    def probe(cfg, rate, bits_per_probe, max_errors):
+        probed.append(rate)
+        return passes(rate)
+
+    monkeypatch.setattr(harness, "_probe_passes", probe)
+    return probed
+
+
+def test_max_data_rate_failing_floor_does_not_decide(baseline_cfg, monkeypatch):
+    # Declared behaviour: min_rate is probed only when no faster probe
+    # passes, so a failing min_rate under a passing faster rate (BER not
+    # monotone in rate) gives the answer of a passing one.
+    _stub_probes(monkeypatch, lambda rate: rate <= 400)
+    with_floor = max_data_rate(baseline_cfg, 1e-3)
+    probed = _stub_probes(monkeypatch, lambda rate: 50 < rate <= 400)
+    assert max_data_rate(baseline_cfg, 1e-3) == with_floor == MaxRateResult(398, 4)
+    assert 50 not in probed
+
+
+def test_max_data_rate_probes_the_floor_last_when_nothing_passes(baseline_cfg,
+                                                                monkeypatch):
+    probed = _stub_probes(monkeypatch, lambda rate: False)
+    with pytest.raises(NoFeasibleRateError):
+        max_data_rate(baseline_cfg, 1e-3)
+    assert probed[-1] == 50 and probed.count(50) == 1
+    assert len(set(probed)) == len(probed)
+
+
+@pytest.mark.parametrize("passes", [True, False])
+def test_max_data_rate_floor_at_the_carrier_limit_takes_one_probe(baseline_cfg, monkeypatch,
+                                                                  passes):
+    probed = _stub_probes(monkeypatch, lambda rate: passes)
+    if passes:
+        assert max_data_rate(baseline_cfg, 1e-3, min_rate=1000) == MaxRateResult(1000, 0)
+    else:
+        with pytest.raises(NoFeasibleRateError):
+            max_data_rate(baseline_cfg, 1e-3, min_rate=1000)
+    assert probed == [1000]
 
 
 # ---- CSV emission -----------------------------------------------------------
