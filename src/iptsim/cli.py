@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpbrgRangeError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, SpbrgRangeError, OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NoFeasibleRateError as exc:

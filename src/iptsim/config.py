@@ -241,7 +241,7 @@ def _parse_script_step(key: str, raw: str) -> ScriptStep:
 def parse_config_text(text: str) -> tuple[dict[str, object], list[ScriptStep]]:
     """Parse config text into a flat key/value map plus the script steps."""
     values: dict[str, object] = {}
-    script: list[tuple[int, ScriptStep]] = []
+    script: dict[int, ScriptStep] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -254,12 +254,14 @@ def parse_config_text(text: str) -> tuple[dict[str, object], list[ScriptStep]]:
                 index = int(key.split(".", 1)[1])
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad script index in {key!r}") from exc
-            script.append((index, _parse_script_step(key, raw)))
+            if index in script:
+                raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+            script[index] = _parse_script_step(key, raw)
         else:
             if key in values:
                 raise ConfigError(f"line {lineno}: duplicate key {key!r}")
             values[key] = _coerce(key, raw)
-    steps = [step for _, step in sorted(script, key=lambda item: item[0])]
+    steps = [script[index] for index in sorted(script)]
     return values, steps
 
 

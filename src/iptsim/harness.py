@@ -77,7 +77,7 @@ def frame_line_bits(frame_bytes: bytes, cfg: ScenarioConfig) -> np.ndarray:
     """Line bits of a UsartTx sending the frame back to back, padded with
     idle so the receiver settles."""
     ninth = 0 if cfg.usart.nine_bit else None
-    tx = UsartTx(cfg.usart, txen=True)
+    tx = UsartTx(cfg.usart)
     bits: list[int] = [1] * IDLE_PREAMBLE_BITS
     for b in frame_bytes:
         while not tx.txif:

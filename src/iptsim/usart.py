@@ -12,6 +12,7 @@ waveform time onto these grids.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -94,10 +95,12 @@ def brg_divisor(fosc: float, target: float, sync: bool = False,
                 brgh: bool = False) -> BrgResult:
     """Nearest SPBRG value for a target baud rate, with the resulting error.
 
-    Raises SpbrgRangeError when the rounded divisor falls outside 0..255.
+    Raises ValueError naming fosc or target unless it is finite and positive,
+    and SpbrgRangeError when the rounded divisor falls outside 0..255.
     """
-    if target <= 0:
-        raise ValueError("target baud must be positive")
+    for name, value in (("fosc", fosc), ("target", target)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     d = _divisor(sync, brgh)
     x = round(fosc / (d * target) - 1)
     if not 0 <= x <= 255:
@@ -125,19 +128,18 @@ def frame_encode(byte: int, ninth: int | None, cfg: UsartConfig) -> list[int]:
 
 
 class UsartTx:
-    """Double-buffered transmitter: TXREG buffer feeding the TSR shifter.
+    """Double-buffered transmitter: TXREG holds the next frame, the TSR shifts
+    out the bits of the current one.
 
     txif mirrors "TXREG empty", trmt mirrors "TSR empty".  A load into an
-    idle, enabled transmitter transfers straight through to the TSR; a
-    second quick load parks in TXREG so frames go out back-to-back.
+    idle transmitter transfers straight through to the TSR; a second quick
+    load parks in TXREG so frames go out back-to-back.
     """
 
-    def __init__(self, cfg: UsartConfig, txen: bool = False):
+    def __init__(self, cfg: UsartConfig):
         self.cfg = cfg
-        self.txen = txen
         self._txreg: list[int] | None = None  # the frame bits of the loaded byte
-        self._tsr: list[int] | None = None
-        self._tsr_idx = 0
+        self._tsr: deque[int] = deque()
 
     @property
     def txif(self) -> bool:
@@ -145,73 +147,51 @@ class UsartTx:
 
     @property
     def trmt(self) -> bool:
-        return self._tsr is None
-
-    def set_txen(self, enabled: bool) -> None:
-        """Enable or disable transmission; disabling aborts the TSR frame."""
-        self.txen = enabled
-        if not enabled:
-            self._tsr = None
-            self._tsr_idx = 0
-        else:
-            self._maybe_load_tsr()
+        return not self._tsr
 
     def load(self, byte: int, ninth: int | None = None) -> None:
         """Write TXREG.  Raises TxBufferFullError if it still holds data."""
         if self._txreg is not None:
             raise TxBufferFullError("TXREG already holds an unsent byte")
-        self._txreg = frame_encode(byte, ninth, self.cfg)
-        self._maybe_load_tsr()
-
-    def _maybe_load_tsr(self) -> None:
-        if self.txen and self._tsr is None and self._txreg is not None:
-            self._tsr = self._txreg
-            self._tsr_idx = 0
-            self._txreg = None
+        frame = frame_encode(byte, ninth, self.cfg)
+        if self._tsr:
+            self._txreg = frame
+        else:
+            self._tsr.extend(frame)
 
     def tick(self) -> int:
         """Advance one bit period and return the line level (idle is 1)."""
-        if self._tsr is None:
-            self._maybe_load_tsr()
-            if self._tsr is None:
-                return 1
-        level = self._tsr[self._tsr_idx]
-        self._tsr_idx += 1
-        if self._tsr_idx == len(self._tsr):
-            # STOP bit just went out; chain the buffered byte if present.
-            self._tsr = None
-            self._tsr_idx = 0
-            self._maybe_load_tsr()
+        if not self._tsr:
+            return 1
+        level = self._tsr.popleft()
+        if not self._tsr and self._txreg is not None:
+            # STOP bit just went out; chain the buffered byte.
+            self._tsr.extend(self._txreg)
+            self._txreg = None
         return level
-
-
-# Receiver states
-_HUNT = 0
-_START = 1
-_DATA = 2
-_STOP = 3
 
 
 class UsartRx:
     """x16-oversampled receiver with a two-deep RCREG FIFO.
 
-    START detection needs a falling edge confirmed low again at the 8th
-    sub-sample; shorter glitches abort the frame.  Data and STOP bits are
-    sampled mid-bit.  A completed word enters the FIFO unless it is full,
-    in which case OERR is set, the word is lost, and all further transfers
-    are inhibited until the overrun is cleared (CREN cycled).
+    One counter runs from the START edge, and the line is sampled at
+    sub-sample 8 + 16k: k = 0 confirms START (high there is a glitch, and
+    hunting resumes), k = 1..data_bits shifts in the data LSb first, and the
+    next is STOP, low meaning a framing error.  A completed word enters the
+    FIFO unless it is full, in which case OERR is set, the word is lost, and
+    all further transfers are inhibited until the overrun is cleared (CREN
+    cycled).
     """
 
-    def __init__(self, cfg: UsartConfig, cren: bool = True):
+    def __init__(self, cfg: UsartConfig):
         self.cfg = cfg
-        self.cren = cren
+        self.cren = True
         self.oerr = False
         self._fifo: deque[tuple[int, bool]] = deque()
         self._prev: int | None = None
-        self._state = _HUNT
-        self._sub = 0
+        self._sub: int | None = None  # sub-samples since the START edge; None while hunting
         self._shift = 0
-        self._nbits = 0
+        self._stop_sub = 8 + 16 * (cfg.data_bits + 1)
 
     @property
     def rcif(self) -> bool:
@@ -221,16 +201,11 @@ class UsartRx:
     def fifo_depth(self) -> int:
         return len(self._fifo)
 
-    @property
-    def ferr(self) -> bool:
-        """Framing-error flag of the FIFO head (False when empty)."""
-        return self._fifo[0][1] if self._fifo else False
-
     def set_cren(self, enabled: bool) -> None:
         """Receive enable.  Clearing CREN resets the shifter and OERR."""
         self.cren = enabled
         if not enabled:
-            self._reset_shifter()
+            self._sub = self._prev = None
             self.oerr = False
 
     def clear_overrun(self) -> None:
@@ -238,44 +213,24 @@ class UsartRx:
         self.set_cren(False)
         self.set_cren(True)
 
-    def _reset_shifter(self) -> None:
-        self._state = _HUNT
-        self._sub = 0
-        self._shift = 0
-        self._nbits = 0
-        self._prev = None
-
     def sample(self, level: int) -> None:
         """Consume one line sample; call once per 1/16 bit period."""
         level = 1 if level else 0
-        if not self.cren:
-            self._prev = level
-            return
-        if self._state == _HUNT:
-            if self._prev == 1 and level == 0:
-                self._state = _START
-                self._sub = 0
-        elif self._state == _START:
-            self._sub += 1
-            if self._sub == 8:
-                if level == 0:
-                    self._state = _DATA
-                    self._shift = 0
-                    self._nbits = 0
-                else:
-                    self._state = _HUNT  # glitch, not a real START
-        elif self._state == _DATA:
-            self._sub += 1
-            if self._sub == 8 + 16 * (self._nbits + 1):
-                self._shift |= level << self._nbits
-                self._nbits += 1
-                if self._nbits == self.cfg.data_bits:
-                    self._state = _STOP
-        elif self._state == _STOP:
-            self._sub += 1
-            if self._sub == 8 + 16 * (self.cfg.data_bits + 1):
-                self._deliver(self._shift, ferr=(level == 0))
-                self._state = _HUNT
+        sub = self._sub
+        if sub is None:
+            if self._prev == 1 and level == 0 and self.cren:
+                self._sub, self._shift = 0, 0
+        else:
+            sub += 1
+            self._sub = sub
+            if sub & 15 == 8:
+                if sub == self._stop_sub:
+                    self._deliver(self._shift, ferr=(level == 0))
+                    self._sub = None
+                elif sub > 8:
+                    self._shift |= level << ((sub >> 4) - 1)  # data bit k-1 at 8 + 16k
+                elif level:
+                    self._sub = None  # glitch, not a real START
         self._prev = level
 
     def _deliver(self, word: int, ferr: bool) -> None:

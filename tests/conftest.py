@@ -17,6 +17,33 @@ def bits_to_levels_x16(bits) -> list[int]:
     return out
 
 
+def reference_rx_words(levels, data_bits) -> list[tuple[int, bool]]:
+    """(word, ferr) of each frame in an x16 level stream: the oracle for UsartRx.
+
+    A plain scan by the datasheet's x16 rule, written independently of
+    iptsim.usart: a falling edge e (levels[e-1] high, levels[e] low) starts a
+    frame unless levels[e+8] is high (a glitch; hunting resumes at e+9).  Data
+    bit k is levels[e+8+16(k+1)] and STOP is levels[e+8+16(data_bits+1)], low
+    meaning FERR; hunting resumes after STOP.  A frame cut off by the end of
+    the stream gives no word.
+    """
+    words = []
+    e = 1
+    while e + 8 < len(levels):
+        if not (levels[e - 1] == 1 and levels[e] == 0):
+            e += 1
+        elif levels[e + 8]:
+            e += 9
+        else:
+            stop = e + 8 + 16 * (data_bits + 1)
+            if stop >= len(levels):
+                break
+            word = sum(levels[e + 8 + 16 * (k + 1)] << k for k in range(data_bits))
+            words.append((word, levels[stop] == 0))
+            e = stop + 1
+    return words
+
+
 def reference_logic(bits, cfg, noise_seed) -> np.ndarray:
     """Whole-array logic waveform of the link: the oracle for the line chain.
 

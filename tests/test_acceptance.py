@@ -91,7 +91,7 @@ def test_c4b_divisor_for_9600():
 def test_c4c_tx_rx_round_trip_all_bytes():
     cfg = UsartConfig(fosc=4e6, spbrg=249)
     for value in range(256):
-        tx = UsartTx(cfg, txen=True)
+        tx = UsartTx(cfg)
         rx = UsartRx(cfg)
         bits = [tx.tick()]
         tx.load(value)

@@ -33,6 +33,22 @@ def test_brg_out_of_range_exit_code(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("fosc", ["inf", "0", "nan"])
+def test_brg_bad_fosc_exit_code(capsys, fosc):
+    assert main(["brg", "--fosc", fosc, "--baud", "9600"]) == 1
+    assert "config error: fosc must be finite and positive" in capsys.readouterr().err
+
+
+def test_run_unreadable_config_exit_code(tmp_path, capsys):
+    assert main(["run", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
+def test_run_unwritable_trace_exit_code(cfg_file, tmp_path, capsys):
+    assert main(["run", str(cfg_file), "--trace", str(tmp_path)]) == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_run_subcommand(cfg_file, tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert main(["run", str(cfg_file)]) == 0

@@ -66,6 +66,12 @@ def test_duplicate_key_rejected():
         parse_config_text("link.gap = 0.01\nlink.gap = 0.02\n")
 
 
+def test_duplicate_script_index_rejected():
+    text = "script.0 = 0.0 25 1450 230 1.5\nscript.0 = 1.0 25 1450 230 1.5\n"
+    with pytest.raises(ConfigError, match="line 2: duplicate key 'script.0'"):
+        parse_config_text(text)
+
+
 def test_malformed_line_rejected():
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("this is not a config line\n")
