@@ -9,7 +9,7 @@ moving the carrier up (more carrier cycles per bit for the filter to chew on).
 import sys
 from pathlib import Path
 
-from iptsim.config import load_config, with_carrier, with_settings
+from iptsim.config import load_config, with_settings
 from iptsim.harness import max_data_rate
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -24,7 +24,7 @@ def main() -> int:
         res = max_data_rate(cfg, BER_CEILING)
         rows.append((f"10 kHz carrier, order {order}", res))
     for carrier in (20e3, 40e3):
-        cfg = with_carrier(base, carrier)
+        cfg = with_settings(base, {"tx.carrier_freq": carrier})
         res = max_data_rate(cfg, BER_CEILING)
         rows.append((f"{carrier/1e3:.0f} kHz carrier, order 1", res))
 

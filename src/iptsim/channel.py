@@ -13,6 +13,11 @@ import math
 from dataclasses import dataclass
 
 
+def _check_inductances(*inductances: float) -> None:
+    if any(l <= 0 for l in inductances):
+        raise ValueError("coil inductances must be positive")
+
+
 @dataclass(frozen=True)
 class CoilPair:
     """Drive/pickup coil pair with its tuning capacitor and coupling model.
@@ -28,8 +33,7 @@ class CoilPair:
     decay_length: float  # m
 
     def __post_init__(self):
-        if self.l_primary <= 0 or self.l_secondary <= 0:
-            raise ValueError("coil inductances must be positive")
+        _check_inductances(self.l_primary, self.l_secondary)
         if self.c_tank <= 0:
             raise ValueError("c_tank must be positive")
         if not 0 < self.k0 <= 1:
@@ -70,6 +74,12 @@ def mutual_inductance(k: float, coils: CoilPair) -> float:
 def resonant_frequency(coils: CoilPair) -> float:
     """Resonant frequency of the pickup tank, 1 / (2*pi*sqrt(L2 * C))."""
     return 1.0 / (2.0 * math.pi * math.sqrt(coils.l_secondary * coils.c_tank))
+
+
+def tuned_c_tank(freq: float, l_secondary: float) -> float:
+    """Tank capacitance that resonates a pickup coil of l_secondary at freq."""
+    _check_inductances(l_secondary)
+    return 1.0 / ((2.0 * math.pi * freq) ** 2 * l_secondary)
 
 
 def tank_gain(freq: float, coils: CoilPair, q_factor: float) -> float:

@@ -11,12 +11,15 @@ file, in a dict of overrides, and as the variable of a sweep (setting_key
 also accepts the part after the dot).
 
 Settings the file omits are derived from the rest of the configuration by
-the rules here: the noise-filter corner from the carrier, the envelope time
+the rules here: the pickup tank capacitor tuned to resonate link.l_secondary
+at the carrier, the noise-filter corner from the carrier, the envelope time
 constant from carrier and filter order, the comparator threshold from the
 link budget at sim.calibration_gap, the channel noise from sim.snr_db, and
-SPBRG from tx.bit_rate.  build_config is the only place they run; variants
-such as with_carrier re-resolve through it, so a value the caller set stays
-set.
+SPBRG from tx.bit_rate.  build_config is the only place they run, and it
+keeps the map they resolved to.  with_settings re-resolves a variant through
+it, so a value the caller set stays set and the derived ones are derived
+again; a sweep point or rate probe instead starts from the resolved map, so
+it holds every value the base derived, the tank included.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import math
 import numbers
 from dataclasses import astuple, dataclass, field, fields
 
-from .channel import CoilPair, LinkParams, voltage_gain
+from .channel import CoilPair, LinkParams, tuned_c_tank, voltage_gain
 from .modem import RxParams, TxParams
 from .telemetry import Thresholds
 from .usart import SpbrgRangeError, UsartConfig, brg_divisor
@@ -52,8 +55,10 @@ class ScenarioConfig:
 
     settings is the merged key/value map the scenario was resolved from,
     with derived keys left None; with_settings re-resolves from it.
-    Variants come from with_settings: a dataclasses.replace copy keeps the
-    old settings, so re-resolving it undoes the change.
+    resolved is the same map with every derived key filled in, the values
+    the scenario runs with.  Variants come from with_settings: a
+    dataclasses.replace copy keeps the old maps, so re-resolving it undoes
+    the change.
     """
 
     link: LinkParams
@@ -67,6 +72,7 @@ class ScenarioConfig:
     poll_interval_s: float
     master_seed: int
     settings: dict[str, object] = field(compare=False, repr=False)
+    resolved: dict[str, object] = field(compare=False, repr=False)
 
     def __post_init__(self):
         if self.duration_s <= 0:
@@ -89,7 +95,7 @@ class ScenarioConfig:
 SETTINGS: dict[str, tuple[type, object]] = {
     "link.l_primary": (float, 1e-3),
     "link.l_secondary": (float, 1e-3),
-    "link.c_tank": (float, 2.5330296e-7),  # resonates a 1 mH pickup at 10 kHz
+    "link.c_tank": (float, None),
     "link.k0": (float, 0.6),
     "link.decay_length": (float, 0.04),
     "link.gap": (float, 0.05),
@@ -148,7 +154,7 @@ def mark_envelope(link: LinkParams, tx: TxParams, q_factor: float) -> float:
 
     The rectified drive is a unipolar square of swing ic_on*rc_load at 50%
     duty, so after the unity-DC-gain filters the envelope sits at half the
-    received swing.
+    received swing (the drive swing times the link's voltage gain).
     """
     return 0.5 * tx.ic_on * tx.rc_load * voltage_gain(link, tx.carrier_freq, q_factor)
 
@@ -160,23 +166,30 @@ def noise_rms_for_snr(link: LinkParams, tx: TxParams, q_factor: float,
     SNR is referenced to the mark-state signal power: the received square
     of swing A at 50% duty has RMS A/sqrt(2).
     """
-    swing = tx.ic_on * tx.rc_load * voltage_gain(link, tx.carrier_freq, q_factor)
+    swing = 2.0 * mark_envelope(link, tx, q_factor)
     return (swing / math.sqrt(2.0)) / (10.0 ** (snr_db / 20.0))
 
 
-# The rule for each derived key, given the settings, the coil pair and the
-# transmitter.  build_config runs a rule only when its key is unset.
+def _link_at(r: dict[str, object], gap: float) -> LinkParams:
+    """The noiseless link of resolved settings r at an air gap."""
+    return LinkParams(_fill(CoilPair, "link", r), gap)
+
+
+# The rule for each derived key, given the settings resolved so far and the
+# transmitter.  build_config runs the rules in this order, each only when its
+# key is unset, so the tank is resolved before the rules that use the coils.
 _DERIVED = {
-    "link.noise_rms": lambda s, coils, tx: noise_rms_for_snr(
-        LinkParams(coils, s["link.gap"]), tx, s["sim.q_factor"], s["sim.snr_db"]),
-    "rx.hf_cutoff": lambda s, coils, tx: derived_hf_cutoff(tx.carrier_freq),
-    "rx.envelope_tau": lambda s, coils, tx: derived_envelope_tau(
-        tx.carrier_freq, s["sim.filter_order"]),
+    "link.c_tank": lambda r, tx: tuned_c_tank(tx.carrier_freq, r["link.l_secondary"]),
+    "link.noise_rms": lambda r, tx: noise_rms_for_snr(
+        _link_at(r, r["link.gap"]), tx, r["sim.q_factor"], r["sim.snr_db"]),
+    "rx.hf_cutoff": lambda r, tx: derived_hf_cutoff(tx.carrier_freq),
+    "rx.envelope_tau": lambda r, tx: derived_envelope_tau(
+        tx.carrier_freq, r["sim.filter_order"]),
     # The comparator is sized for the worst-case (largest) air gap.
-    "rx.threshold": lambda s, coils, tx: THRESHOLD_ENVELOPE_FRACTION * mark_envelope(
-        LinkParams(coils, s["sim.calibration_gap"]), tx, s["sim.q_factor"]),
-    "usart.spbrg": lambda s, coils, tx: brg_divisor(
-        s["usart.fosc"], tx.bit_rate, brgh=s["usart.brgh"]).spbrg,
+    "rx.threshold": lambda r, tx: THRESHOLD_ENVELOPE_FRACTION * mark_envelope(
+        _link_at(r, r["sim.calibration_gap"]), tx, r["sim.q_factor"]),
+    "usart.spbrg": lambda r, tx: brg_divisor(
+        r["usart.fosc"], tx.bit_rate, brgh=r["usart.brgh"]).spbrg,
 }
 
 _DEFAULT_SCRIPT = (ScriptStep(0.0, 25.0, 1450.0, 230.0, 1.5),)
@@ -286,23 +299,23 @@ def build_config(values: dict[str, object] | None = None,
         raise ConfigError("sim.filter_order must be 1, 2, or 3")
 
     try:
-        coils = _fill(CoilPair, "link", settings)
         tx = _fill(TxParams, "tx", settings)
         thresholds = _fill(Thresholds, "thresholds", settings)
         resolved = dict(settings)
         for key, rule in _DERIVED.items():
             if resolved[key] is None:
-                resolved[key] = rule(settings, coils, tx)
+                resolved[key] = rule(resolved, tx)
         rx = _fill(RxParams, "rx", resolved, envelope_order=settings["sim.filter_order"])
         usart = _fill(UsartConfig, "usart", resolved)
-        link = _fill(LinkParams, "link", resolved, coils=coils)
+        link = _fill(LinkParams, "link", resolved, coils=_fill(CoilPair, "link", resolved))
     except SpbrgRangeError as exc:
         raise ConfigError(f"tx.bit_rate, usart.fosc, usart.brgh: {exc}; "
                           "pin usart.spbrg to choose the divisor") from exc
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     return _fill(ScenarioConfig, "sim", settings, link=link, tx=tx, rx=rx, usart=usart,
-                 thresholds=thresholds, script=script, settings=settings)
+                 thresholds=thresholds, script=script, settings=settings,
+                 resolved=resolved)
 
 
 def load_config(path: str | None = None) -> ScenarioConfig:
@@ -321,23 +334,3 @@ def with_settings(cfg: ScenarioConfig, values: dict[str, object]) -> ScenarioCon
     Settings cfg pinned stay pinned; derived ones are derived again.
     """
     return build_config({**cfg.settings, **values}, cfg.script)
-
-
-def derived_settings(cfg: ScenarioConfig) -> dict[str, object]:
-    """The values cfg resolved for the keys build_config derives; with_settings holds them."""
-    derived = {}
-    for key in _DERIVED:
-        section, name = key.split(".")
-        derived[key] = getattr(getattr(cfg, section), name)
-    return derived
-
-
-def with_carrier(cfg: ScenarioConfig, carrier_freq: float) -> ScenarioConfig:
-    """Variant at a different carrier frequency.
-
-    The pickup tank is retuned to resonate at the new carrier (the drive
-    must sit at tank resonance); the receiver settings and the noise are
-    derived again unless cfg pinned them.
-    """
-    c_tank = 1.0 / ((2.0 * math.pi * carrier_freq) ** 2 * cfg.link.coils.l_secondary)
-    return with_settings(cfg, {"tx.carrier_freq": carrier_freq, "link.c_tank": c_tank})

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import (ConfigError, ScenarioConfig, _coerce, derived_settings,
-                     setting_key, with_settings)
+from .config import ConfigError, ScenarioConfig, _coerce, build_config, setting_key
 from .seeds import derive_seed
 from .simulate import IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, run_line
 from .telemetry import (FaultSet, MotorState, POLL_FRAME_LEN, READING_FRAME_LEN,
@@ -221,7 +220,7 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
 
 def _point_config(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
     """cfg with one setting changed and every value cfg derived held."""
-    return with_settings(cfg, {**derived_settings(cfg), key: value})
+    return build_config({**cfg.resolved, key: value}, cfg.script)
 
 
 def _random_reading_frames(n_frames: int, seed: int) -> bytes:

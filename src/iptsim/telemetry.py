@@ -97,15 +97,6 @@ class FaultSet:
     UNDERVOLT = 0x10
     OVERCURRENT = 0x20
 
-    _NAMES = (
-        (0x01, "overtemp"),
-        (0x02, "overspeed"),
-        (0x04, "underspeed"),
-        (0x08, "overvolt"),
-        (0x10, "undervolt"),
-        (0x20, "overcurrent"),
-    )
-
     def __post_init__(self):
         if not 0 <= self.mask <= 0xFF:
             raise ValueError(f"mask must fit one byte, got {self.mask}")
@@ -114,9 +105,6 @@ class FaultSet:
 
     def __bool__(self) -> bool:
         return self.mask != 0
-
-    def names(self) -> list[str]:
-        return [name for bit, name in self._NAMES if self.mask & bit]
 
 
 @dataclass(frozen=True)

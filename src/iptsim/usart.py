@@ -38,6 +38,11 @@ class SpbrgRangeError(UsartError, ValueError):
     """No SPBRG value in 0..255 reaches the requested baud rate."""
 
 
+def _check_finite_positive(name: str, value: float) -> None:
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class UsartConfig:
     """Clocking and framing mode bits.
@@ -53,8 +58,7 @@ class UsartConfig:
     nine_bit: bool = False
 
     def __post_init__(self):
-        if self.fosc <= 0:
-            raise ValueError("fosc must be positive")
+        _check_finite_positive("fosc", self.fosc)
         if not 0 <= self.spbrg <= 255:
             raise ValueError(f"spbrg must be in 0..255, got {self.spbrg}")
         if self.sync and self.brgh:
@@ -98,9 +102,8 @@ def brg_divisor(fosc: float, target: float, sync: bool = False,
     Raises ValueError naming fosc or target unless it is finite and positive,
     and SpbrgRangeError when the rounded divisor falls outside 0..255.
     """
-    for name, value in (("fosc", fosc), ("target", target)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _check_finite_positive("fosc", fosc)
+    _check_finite_positive("target", target)
     d = _divisor(sync, brgh)
     x = round(fosc / (d * target) - 1)
     if not 0 <= x <= 255:
@@ -185,7 +188,6 @@ class UsartRx:
 
     def __init__(self, cfg: UsartConfig):
         self.cfg = cfg
-        self.cren = True
         self.oerr = False
         self._fifo: deque[tuple[int, bool]] = deque()
         self._prev: int | None = None
@@ -201,24 +203,17 @@ class UsartRx:
     def fifo_depth(self) -> int:
         return len(self._fifo)
 
-    def set_cren(self, enabled: bool) -> None:
-        """Receive enable.  Clearing CREN resets the shifter and OERR."""
-        self.cren = enabled
-        if not enabled:
-            self._sub = self._prev = None
-            self.oerr = False
-
     def clear_overrun(self) -> None:
-        """Clear OERR by cycling CREN; the FIFO contents survive."""
-        self.set_cren(False)
-        self.set_cren(True)
+        """Clear OERR by cycling CREN: the shifter resets, the FIFO contents survive."""
+        self._sub = self._prev = None
+        self.oerr = False
 
     def sample(self, level: int) -> None:
         """Consume one line sample; call once per 1/16 bit period."""
         level = 1 if level else 0
         sub = self._sub
         if sub is None:
-            if self._prev == 1 and level == 0 and self.cren:
+            if self._prev == 1 and level == 0:
                 self._sub, self._shift = 0, 0
         else:
             sub += 1

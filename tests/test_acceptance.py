@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.signal import lfilter
 
-from iptsim.config import build_config, with_carrier, with_settings
+from iptsim.config import build_config, with_settings
 from iptsim.harness import ber_sweep, emit_csv, max_data_rate, run_scenario
 from iptsim.modem import lowpass_coeffs
 from iptsim.simulate import _LineChain, run_line
@@ -64,7 +64,7 @@ def test_c3_filter_order_and_carrier_comparisons(baseline, baseline_maxrate):
     base_rate = baseline_maxrate[0].rate_bps
     second_order = max_data_rate(with_settings(baseline, {"sim.filter_order": 2}), BER_CEILING)
     assert second_order.rate_bps > base_rate
-    fast_carrier = max_data_rate(with_carrier(baseline, 20e3), BER_CEILING)
+    fast_carrier = max_data_rate(with_settings(baseline, {"tx.carrier_freq": 20e3}), BER_CEILING)
     assert fast_carrier.rate_bps >= base_rate
 
 

@@ -3,11 +3,10 @@ from pathlib import Path
 
 import pytest
 
-from iptsim.config import (SETTINGS, ConfigError, ScriptStep, build_config,
-                           derived_settings, load_config, parse_config_text,
-                           setting_key, with_carrier, with_settings)
-from iptsim.channel import resonant_frequency
-from iptsim.harness import run_scenario
+from iptsim.config import (_DERIVED, SETTINGS, ConfigError, ScriptStep, build_config,
+                           load_config, parse_config_text, setting_key, with_settings)
+from iptsim.channel import resonant_frequency, tank_gain
+from iptsim.harness import _point_config, run_scenario
 
 
 def test_defaults_resolve(baseline_cfg):
@@ -167,14 +166,46 @@ def test_unreachable_baud_is_a_config_error():
     assert (pinned.tx.bit_rate, pinned.usart.spbrg) == (100, 255)
 
 
-def test_derived_settings_are_the_resolved_values(baseline_cfg):
-    derived = derived_settings(baseline_cfg)
-    assert set(derived) == {key for key, (_, default) in SETTINGS.items() if default is None}
-    assert derived["usart.spbrg"] == 249
-    assert derived["rx.threshold"] == baseline_cfg.rx.threshold
-    assert derived["link.noise_rms"] == baseline_cfg.link.noise_rms
-    held = with_settings(baseline_cfg, {**derived, "sim.snr_db": 0.0})
+def test_resolved_map_holds_the_derived_values(baseline_cfg):
+    assert set(_DERIVED) == {key for key, (_, default) in SETTINGS.items() if default is None}
+    resolved = baseline_cfg.resolved
+    assert {key: value for key, value in resolved.items() if key not in _DERIVED} == \
+        {key: value for key, value in baseline_cfg.settings.items() if key not in _DERIVED}
+    assert all(baseline_cfg.settings[key] is None for key in _DERIVED)
+    assert resolved["usart.spbrg"] == 249
+    assert resolved["link.c_tank"] == baseline_cfg.link.coils.c_tank
+    assert resolved["rx.threshold"] == baseline_cfg.rx.threshold
+    assert resolved["link.noise_rms"] == baseline_cfg.link.noise_rms
+    held = with_settings(baseline_cfg, {**resolved, "sim.snr_db": 0.0})
     assert held.link.noise_rms == baseline_cfg.link.noise_rms
+
+
+def test_tank_is_tuned_to_the_carrier(baseline_cfg):
+    assert baseline_cfg.link.coils.c_tank == 1 / ((2 * math.pi * 1e4) ** 2 * 1e-3)
+    assert tank_gain(10e3, baseline_cfg.link.coils, baseline_cfg.q_factor) == 1.0
+
+
+def test_config_file_carrier_tunes_the_tank(tmp_path):
+    path = tmp_path / "fast.cfg"
+    path.write_text("tx.carrier_freq = 20e3\n", encoding="utf-8")
+    cfg = load_config(str(path))
+    assert resonant_frequency(cfg.link.coils) == pytest.approx(20e3, rel=1e-12)
+    assert cfg.link.coils.c_tank == 6.332573977646111e-08
+
+
+@pytest.mark.parametrize("values", [{"link.l_secondary": 0.0}, {"link.l_secondary": -1e-3},
+                                    {"link.l_primary": 0.0}], ids=str)
+@pytest.mark.parametrize("tank", [{}, {"link.c_tank": 2.5e-7}], ids=["derived", "pinned"])
+def test_non_positive_inductance_is_a_config_error(values, tank):
+    with pytest.raises(ConfigError, match="^coil inductances must be positive$"):
+        build_config({**values, **tank})
+
+
+def test_zero_fosc_reports_one_message():
+    # With SPBRG derived, brg_divisor refuses fosc; with it pinned, UsartConfig does.
+    for values in ({"usart.fosc": 0}, {"usart.fosc": 0, "usart.spbrg": 249}):
+        with pytest.raises(ConfigError, match=r"^fosc must be finite and positive, got 0\.0$"):
+            build_config(values)
 
 
 def test_setting_key_takes_a_key_or_its_name():
@@ -191,7 +222,7 @@ def test_explicit_noise_overrides_snr():
     cfg = build_config({"link.noise_rms": 0.02})
     assert cfg.link.noise_rms == 0.02
     # a carrier variant keeps the pinned noise rather than re-deriving it
-    assert with_carrier(cfg, 20e3).link.noise_rms == 0.02
+    assert with_settings(cfg, {"tx.carrier_freq": 20e3}).link.noise_rms == 0.02
 
 
 def test_filter_order_shrinks_envelope_tau():
@@ -202,13 +233,26 @@ def test_filter_order_shrinks_envelope_tau():
     assert faster.rx.threshold == base.rx.threshold
 
 
-def test_with_carrier_retunes_tank():
+def test_carrier_variant_retunes_tank():
     base = build_config()
-    fast = with_carrier(base, 20e3)
+    fast = with_settings(base, {"tx.carrier_freq": 20e3})
     assert fast.tx.carrier_freq == 20e3
-    assert resonant_frequency(fast.link.coils) == pytest.approx(20e3, rel=1e-6)
+    assert resonant_frequency(fast.link.coils) == pytest.approx(20e3, rel=1e-12)
     assert fast.rx.hf_cutoff == 40e3
     assert fast.rx.envelope_tau == pytest.approx(base.rx.envelope_tau / 2)
+
+
+def test_carrier_variant_keeps_pinned_tank():
+    cfg = build_config({"link.c_tank": 2.8e-7})
+    assert with_settings(cfg, {"tx.carrier_freq": 20e3}).link.coils.c_tank == 2.8e-7
+
+
+def test_carrier_sweep_point_holds_the_base_tank(baseline_cfg):
+    point = _point_config(baseline_cfg, "tx.carrier_freq", 20e3)
+    assert point.tx.carrier_freq == 20e3
+    assert point.link.coils == baseline_cfg.link.coils
+    assert resonant_frequency(point.link.coils) == pytest.approx(10e3, rel=1e-12)
+    assert point.rx == baseline_cfg.rx
 
 
 def test_envelope_tau_order_rule():
@@ -218,9 +262,9 @@ def test_envelope_tau_order_rule():
     assert third.rx.envelope_tau == pytest.approx(expected, rel=1e-12)
 
 
-def test_with_carrier_keeps_pinned_threshold():
+def test_carrier_variant_keeps_pinned_threshold():
     cfg = build_config({"rx.threshold": 0.2})
-    assert with_carrier(cfg, 20e3).rx.threshold == 0.2
+    assert with_settings(cfg, {"tx.carrier_freq": 20e3}).rx.threshold == 0.2
 
 
 def test_with_no_settings_is_unchanged(baseline_cfg):

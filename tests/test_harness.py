@@ -9,8 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from iptsim import harness
 from iptsim.channel import voltage_gain
-from iptsim.config import (ConfigError, ScriptStep, build_config, derived_settings,
-                           with_settings)
+from iptsim.config import ConfigError, ScriptStep, build_config, with_settings
 from iptsim.harness import (MaxRateResult, NoFeasibleRateError, SweepResult, TraceRecord,
                             _error_budget, _point_config, ber_sweep, emit_csv,
                             frame_line_bits, max_data_rate, run_scenario,
@@ -25,15 +24,10 @@ def short_cfg():
     return build_config({"sim.duration_s": 2.0})
 
 
-def _variant(cfg, key, value):
-    """cfg with one setting changed and everything cfg derived held."""
-    return with_settings(cfg, {**derived_settings(cfg), key: value})
-
-
 # ---- scenario runner --------------------------------------------------------
 
 def test_scenario_noiseless_full_delivery(short_cfg):
-    cfg = _variant(short_cfg, "link.noise_rms", 0.0)
+    cfg = _point_config(short_cfg, "link.noise_rms", 0.0)
     report, traces = run_scenario(cfg)
     assert report.sessions == 2
     assert report.frames_sent == 4            # poll + reply per session
@@ -94,7 +88,7 @@ def test_frame_line_bits_is_the_concatenated_frames(payload, nine_bit):
 # ---- sweeps -----------------------------------------------------------------
 
 def test_sweep_noiseless_gap_points(baseline_cfg):
-    cfg = _variant(baseline_cfg, "link.noise_rms", 0.0)
+    cfg = _point_config(baseline_cfg, "link.noise_rms", 0.0)
     results = ber_sweep(cfg, "gap", [0.0, 0.05, 0.10], bits_per_point=1000)
     for r in results:
         assert r.ber == 0.0
@@ -209,7 +203,7 @@ def test_sweep_validates_arguments(baseline_cfg):
 def test_max_data_rate_infeasible_link(baseline_cfg):
     # At half a meter the received envelope sits far below the calibrated
     # threshold, so even the minimum rate fails.
-    dead = _variant(baseline_cfg, "link.gap", 0.5)
+    dead = _point_config(baseline_cfg, "link.gap", 0.5)
     with pytest.raises(NoFeasibleRateError):
         max_data_rate(dead, 1e-3, bits_per_probe=200)
     with pytest.raises(NoFeasibleRateError):
@@ -292,7 +286,7 @@ def test_max_data_rate_matches_full_probe_search(baseline_cfg, master_seed, ceil
     # Probes that stop once they exceed the error budget must give the
     # answer of the search that runs every probe to the end.  Where min_rate
     # fails, the search raises only if no faster probe passes either.
-    cfg = _variant(baseline_cfg, "sim.master_seed", master_seed)
+    cfg = _point_config(baseline_cfg, "sim.master_seed", master_seed)
     try:
         expected = _full_probe_search(cfg, ceiling, bits_per_probe, 250)
     except NoFeasibleRateError:

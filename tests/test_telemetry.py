@@ -152,10 +152,6 @@ def test_thresholds_invariants():
         Thresholds(80, 3000, 200, 260, 180, 6, hysteresis_fraction=0.6)
 
 
-def test_fault_set_names():
-    assert FaultSet(0x21).names() == ["overtemp", "overcurrent"]
-
-
 # ---- fault classifier -------------------------------------------------------
 
 def test_classify_nominal_is_clear():
