@@ -20,7 +20,7 @@ def main() -> int:
     base = load_config(str(ROOT / "configs" / "baseline.cfg"))
     rows = []
     for order in (1, 2, 3):
-        cfg = with_settings(base, {"sim.filter_order": order})
+        cfg = with_settings(base, {"rx.envelope_order": order})
         res = max_data_rate(cfg, BER_CEILING)
         rows.append((f"10 kHz carrier, order {order}", res))
     for carrier in (20e3, 40e3):

@@ -5,9 +5,8 @@ PIC16-style USART, a telemetry/fault application layer, and a harness
 that measures bit-error rate, maximum data rate, and air-gap tolerance.
 """
 
-from .channel import (CoilPair, LinkParams, coupling_coefficient,
-                      mutual_inductance, resonant_frequency, tank_gain,
-                      voltage_gain)
+from .channel import (LinkParams, coupling_coefficient, mutual_inductance,
+                      resonant_frequency, tank_gain, voltage_gain)
 from .config import ConfigError, ScenarioConfig, ScriptStep, build_config, load_config
 from .harness import (MaxRateResult, NoFeasibleRateError, ScenarioReport,
                       SweepResult, TraceRecord, ber_sweep, emit_csv,
@@ -23,7 +22,7 @@ from .usart import (UsartConfig, UsartRx, UsartTx, actual_baud, brg_divisor,
                     frame_encode)
 
 __all__ = [
-    "CoilPair", "ConfigError", "FaultSet", "LinkParams",
+    "ConfigError", "FaultSet", "LinkParams",
     "MaxRateResult", "MotorState", "NoFeasibleRateError", "ProximityParams",
     "RxParams", "ScenarioConfig", "ScenarioReport", "ScriptStep",
     "SweepResult", "Thresholds", "TraceRecord", "TxParams", "UsartConfig",

@@ -14,13 +14,13 @@ from dataclasses import dataclass
 
 
 def _check_inductances(*inductances: float) -> None:
-    if any(l <= 0 for l in inductances):
+    if not all(0 < l < math.inf for l in inductances):
         raise ValueError("coil inductances must be positive")
 
 
 @dataclass(frozen=True)
-class CoilPair:
-    """Drive/pickup coil pair with its tuning capacitor and coupling model.
+class LinkParams:
+    """Physical channel: coil pair, tuned pickup tank, air gap and noise level.
 
     Coupling falls off exponentially with the air gap:
     k(gap) = k0 * exp(-gap / decay_length).
@@ -31,49 +31,37 @@ class CoilPair:
     c_tank: float        # F, resonates the pickup coil
     k0: float            # coupling coefficient at zero gap
     decay_length: float  # m
-
-    def __post_init__(self):
-        _check_inductances(self.l_primary, self.l_secondary)
-        if self.c_tank <= 0:
-            raise ValueError("c_tank must be positive")
-        if not 0 < self.k0 <= 1:
-            raise ValueError(f"k0 must be in (0, 1], got {self.k0}")
-        if self.decay_length <= 0:
-            raise ValueError("decay_length must be positive")
-
-
-@dataclass(frozen=True)
-class LinkParams:
-    """Physical channel: coil pair, operating air gap, and noise level."""
-
-    coils: CoilPair
+    q_factor: float      # quality factor of the pickup tank
     gap: float = 0.0        # m
     noise_rms: float = 0.0  # V
 
     def __post_init__(self):
-        if self.gap < 0:
-            raise ValueError("gap must be non-negative")
-        if self.noise_rms < 0:
-            raise ValueError("noise_rms must be non-negative")
+        _check_inductances(self.l_primary, self.l_secondary)
+        for name in ("c_tank", "decay_length", "q_factor"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 < self.k0 <= 1:
+            raise ValueError(f"k0 must be in (0, 1], got {self.k0}")
+        for name in ("gap", "noise_rms"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
 
 
-def coupling_coefficient(gap: float, coils: CoilPair) -> float:
-    """Coupling coefficient at an air gap, k0 * exp(-gap / decay_length)."""
-    if gap < 0:
-        raise ValueError("gap must be non-negative")
-    return coils.k0 * math.exp(-gap / coils.decay_length)
+def coupling_coefficient(link: LinkParams) -> float:
+    """Coupling coefficient at the link's air gap, k0 * exp(-gap / decay_length)."""
+    return link.k0 * math.exp(-link.gap / link.decay_length)
 
 
-def mutual_inductance(k: float, coils: CoilPair) -> float:
+def mutual_inductance(k: float, link: LinkParams) -> float:
     """Mutual inductance M = k * sqrt(L1 * L2)."""
     if not 0 <= k <= 1:
         raise ValueError(f"coupling must be in [0, 1], got {k}")
-    return k * math.sqrt(coils.l_primary * coils.l_secondary)
+    return k * math.sqrt(link.l_primary * link.l_secondary)
 
 
-def resonant_frequency(coils: CoilPair) -> float:
+def resonant_frequency(link: LinkParams) -> float:
     """Resonant frequency of the pickup tank, 1 / (2*pi*sqrt(L2 * C))."""
-    return 1.0 / (2.0 * math.pi * math.sqrt(coils.l_secondary * coils.c_tank))
+    return 1.0 / (2.0 * math.pi * math.sqrt(link.l_secondary * link.c_tank))
 
 
 def tuned_c_tank(freq: float, l_secondary: float) -> float:
@@ -82,7 +70,7 @@ def tuned_c_tank(freq: float, l_secondary: float) -> float:
     return 1.0 / ((2.0 * math.pi * freq) ** 2 * l_secondary)
 
 
-def tank_gain(freq: float, coils: CoilPair, q_factor: float) -> float:
+def tank_gain(freq: float, link: LinkParams) -> float:
     """Normalized magnitude response of the resonant pickup at `freq`.
 
     Second-order series-resonant shape: unity at resonance, half-power
@@ -90,19 +78,15 @@ def tank_gain(freq: float, coils: CoilPair, q_factor: float) -> float:
     """
     if freq <= 0:
         raise ValueError("freq must be positive")
-    if q_factor <= 0:
-        raise ValueError("q_factor must be positive")
-    f0 = resonant_frequency(coils)
+    f0 = resonant_frequency(link)
     detune = freq / f0 - f0 / freq
-    return 1.0 / math.sqrt(1.0 + (q_factor * detune) ** 2)
+    return 1.0 / math.sqrt(1.0 + (link.q_factor * detune) ** 2)
 
 
-def voltage_gain(link: LinkParams, carrier_freq: float, q_factor: float) -> float:
+def voltage_gain(link: LinkParams, carrier_freq: float) -> float:
     """Scalar drive-to-pickup voltage gain at the carrier frequency.
 
     Transformer-style transfer M / L1 scaled by the tank response.
     """
-    k = coupling_coefficient(link.gap, link.coils)
-    m = mutual_inductance(k, link.coils)
-    return (m / link.coils.l_primary) * tank_gain(carrier_freq, link.coils, q_factor)
-
+    m = mutual_inductance(coupling_coefficient(link), link)
+    return (m / link.l_primary) * tank_gain(carrier_freq, link)

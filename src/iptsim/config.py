@@ -5,17 +5,18 @@ canonical SI throughout: Hz, m, V, A, s.  Scripted readings use
 `script.N = <time_s> <temp_c> <speed_rpm> <voltage_v> <current_a>`.
 
 SETTINGS names every key, its type and its default.  A key's section and
-name say where it goes: build_config fills each parameter object from the
-`section.<field>` settings.  A setting has that one name everywhere, in a
-file, in a dict of overrides, and as the variable of a sweep (setting_key
-also accepts the part after the dot).
+name say where it goes: build_config fills each section's one parameter
+object from its `section.<field>` settings, and the only keys that name no
+field are the rule inputs sim.snr_db and sim.calibration_gap.  A setting
+has that one name everywhere, in a file, in a dict of overrides, and as the
+variable of a sweep (setting_key also accepts the part after the dot).
 
 Settings the file omits are derived from the rest of the configuration by
 the rules here: the pickup tank capacitor tuned to resonate link.l_secondary
 at the carrier, the noise-filter corner from the carrier, the envelope time
-constant from carrier and filter order, the comparator threshold from the
-link budget at sim.calibration_gap, the channel noise from sim.snr_db, and
-SPBRG from tx.bit_rate.  build_config is the only place they run, and it
+constant from carrier and rx.envelope_order, the comparator threshold from
+the link budget at sim.calibration_gap, the channel noise from sim.snr_db,
+and SPBRG from tx.bit_rate.  build_config is the only place they run, and it
 keeps the map they resolved to.  with_settings re-resolves a variant through
 it, so a value the caller set stays set and the derived ones are derived
 again; a sweep point or rate probe instead starts from the resolved map, so
@@ -28,9 +29,9 @@ import math
 import numbers
 from dataclasses import astuple, dataclass, field, fields
 
-from .channel import CoilPair, LinkParams, tuned_c_tank, voltage_gain
+from .channel import LinkParams, tuned_c_tank, voltage_gain
 from .modem import RxParams, TxParams
-from .telemetry import Thresholds
+from .telemetry import MotorState, Thresholds
 from .usart import SpbrgRangeError, UsartConfig, brg_divisor
 
 
@@ -68,7 +69,6 @@ class ScenarioConfig:
     thresholds: Thresholds
     script: tuple[ScriptStep, ...]
     duration_s: float
-    q_factor: float
     poll_interval_s: float
     master_seed: int
     settings: dict[str, object] = field(compare=False, repr=False)
@@ -77,8 +77,6 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.duration_s <= 0:
             raise ConfigError("sim.duration_s must be positive")
-        if self.q_factor <= 0:
-            raise ConfigError("sim.q_factor must be positive")
         if self.poll_interval_s <= 0:
             raise ConfigError("sim.poll_interval_s must be positive")
         if not 0 <= self.master_seed < 2 ** 64:
@@ -89,15 +87,16 @@ class ScenarioConfig:
 
 
 # Every configuration key with its type and default.  A key section.name fills
-# field name of that section's parameter object.  A None default marks a key
-# that build_config derives from the others, by its rule in _DERIVED, unless
-# it is set.
+# field name of that section's parameter object, or is a rule input.  A None
+# default marks a key that build_config derives from the others, by its rule
+# in _DERIVED, unless it is set.
 SETTINGS: dict[str, tuple[type, object]] = {
     "link.l_primary": (float, 1e-3),
     "link.l_secondary": (float, 1e-3),
     "link.c_tank": (float, None),
     "link.k0": (float, 0.6),
     "link.decay_length": (float, 0.04),
+    "link.q_factor": (float, 10.0),
     "link.gap": (float, 0.05),
     "link.noise_rms": (float, None),
     "tx.carrier_freq": (float, 10e3),
@@ -109,6 +108,7 @@ SETTINGS: dict[str, tuple[type, object]] = {
     "rx.hf_cutoff": (float, None),
     "rx.envelope_tau": (float, None),
     "rx.threshold": (float, None),
+    "rx.envelope_order": (int, 1),
     "usart.fosc": (float, 4e6),
     "usart.spbrg": (int, None),
     "usart.brgh": (bool, False),
@@ -121,8 +121,6 @@ SETTINGS: dict[str, tuple[type, object]] = {
     "thresholds.curr_max_a": (float, 6.0),
     "thresholds.hysteresis_fraction": (float, 0.05),
     "sim.duration_s": (float, 10.0),
-    "sim.filter_order": (int, 1),
-    "sim.q_factor": (float, 10.0),
     "sim.poll_interval_s": (float, 1.0),
     "sim.master_seed": (int, 1234567),
     "sim.snr_db": (float, 20.0),
@@ -149,30 +147,29 @@ def derived_envelope_tau(carrier_freq: float, order: int) -> float:
     return RIPPLE_REJECTION ** (1.0 / order) / (2.0 * math.pi * carrier_freq)
 
 
-def mark_envelope(link: LinkParams, tx: TxParams, q_factor: float) -> float:
+def mark_envelope(link: LinkParams, tx: TxParams) -> float:
     """Settled envelope level while the carrier is on.
 
     The rectified drive is a unipolar square of swing ic_on*rc_load at 50%
     duty, so after the unity-DC-gain filters the envelope sits at half the
     received swing (the drive swing times the link's voltage gain).
     """
-    return 0.5 * tx.ic_on * tx.rc_load * voltage_gain(link, tx.carrier_freq, q_factor)
+    return 0.5 * tx.ic_on * tx.rc_load * voltage_gain(link, tx.carrier_freq)
 
 
-def noise_rms_for_snr(link: LinkParams, tx: TxParams, q_factor: float,
-                      snr_db: float) -> float:
+def noise_rms_for_snr(link: LinkParams, tx: TxParams, snr_db: float) -> float:
     """Channel noise RMS giving the stated SNR at the receiver input.
 
     SNR is referenced to the mark-state signal power: the received square
     of swing A at 50% duty has RMS A/sqrt(2).
     """
-    swing = 2.0 * mark_envelope(link, tx, q_factor)
+    swing = 2.0 * mark_envelope(link, tx)
     return (swing / math.sqrt(2.0)) / (10.0 ** (snr_db / 20.0))
 
 
 def _link_at(r: dict[str, object], gap: float) -> LinkParams:
     """The noiseless link of resolved settings r at an air gap."""
-    return LinkParams(_fill(CoilPair, "link", r), gap)
+    return _fill(LinkParams, "link", {**r, "link.gap": gap, "link.noise_rms": 0.0})
 
 
 # The rule for each derived key, given the settings resolved so far and the
@@ -181,13 +178,13 @@ def _link_at(r: dict[str, object], gap: float) -> LinkParams:
 _DERIVED = {
     "link.c_tank": lambda r, tx: tuned_c_tank(tx.carrier_freq, r["link.l_secondary"]),
     "link.noise_rms": lambda r, tx: noise_rms_for_snr(
-        _link_at(r, r["link.gap"]), tx, r["sim.q_factor"], r["sim.snr_db"]),
+        _link_at(r, r["link.gap"]), tx, r["sim.snr_db"]),
     "rx.hf_cutoff": lambda r, tx: derived_hf_cutoff(tx.carrier_freq),
     "rx.envelope_tau": lambda r, tx: derived_envelope_tau(
-        tx.carrier_freq, r["sim.filter_order"]),
+        tx.carrier_freq, r["rx.envelope_order"]),
     # The comparator is sized for the worst-case (largest) air gap.
     "rx.threshold": lambda r, tx: THRESHOLD_ENVELOPE_FRACTION * mark_envelope(
-        _link_at(r, r["sim.calibration_gap"]), tx, r["sim.q_factor"]),
+        _link_at(r, r["sim.calibration_gap"]), tx),
     "usart.spbrg": lambda r, tx: brg_divisor(
         r["usart.fosc"], tx.bit_rate, brgh=r["usart.brgh"]).spbrg,
 }
@@ -293,10 +290,14 @@ def build_config(values: dict[str, object] | None = None,
         settings[key] = _coerce(key, value)
     script = tuple(script) if script else _DEFAULT_SCRIPT
     for step in script:
-        if not all(map(math.isfinite, astuple(step))):
-            raise ConfigError(f"script values must be finite, got {astuple(step)}")
-    if settings["sim.filter_order"] not in (1, 2, 3):
-        raise ConfigError("sim.filter_order must be 1, 2, or 3")
+        if not math.isfinite(step.time_s):
+            raise ConfigError(f"script time_s must be finite, got {step.time_s}")
+        try:
+            MotorState(*astuple(step)[1:])
+        except ValueError as exc:
+            raise ConfigError(f"script {astuple(step)}: {exc}") from exc
+    if settings["rx.envelope_order"] not in (1, 2, 3):
+        raise ConfigError("rx.envelope_order must be 1, 2, or 3")
 
     try:
         tx = _fill(TxParams, "tx", settings)
@@ -305,9 +306,9 @@ def build_config(values: dict[str, object] | None = None,
         for key, rule in _DERIVED.items():
             if resolved[key] is None:
                 resolved[key] = rule(resolved, tx)
-        rx = _fill(RxParams, "rx", resolved, envelope_order=settings["sim.filter_order"])
+        rx = _fill(RxParams, "rx", resolved)
         usart = _fill(UsartConfig, "usart", resolved)
-        link = _fill(LinkParams, "link", resolved, coils=_fill(CoilPair, "link", resolved))
+        link = _fill(LinkParams, "link", resolved)
     except SpbrgRangeError as exc:
         raise ConfigError(f"tx.bit_rate, usart.fosc, usart.brgh: {exc}; "
                           "pin usart.spbrg to choose the divisor") from exc

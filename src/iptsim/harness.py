@@ -96,8 +96,8 @@ def _send(cfg: ScenarioConfig, frame_bytes: bytes,
     bits sent, payload bit errors at the modem decision points).
     """
     line_bits = frame_line_bits(frame_bytes, cfg)
-    mids, received = run_line(line_bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor,
-                              noise_seed, usart_rx=UsartRx(cfg.usart))
+    mids, received = run_line(line_bits, cfg.link, cfg.tx, cfg.rx, noise_seed,
+                              usart_rx=UsartRx(cfg.usart))
     span = slice(IDLE_PREAMBLE_BITS, line_bits.size - IDLE_TAIL_BITS)
     errors = int(np.count_nonzero(mids[span] != line_bits[span]))
     payload = bytes(word & 0xFF for word, _ in received)
@@ -294,8 +294,8 @@ def _probe_passes(cfg: ScenarioConfig, rate: int, bits_per_probe: int,
     rng = np.random.default_rng(derive_seed(seed, 1))
     line_bits = rng.integers(0, 2, bits_per_probe).astype(np.uint8)
     pcfg = _point_config(cfg, "tx.bit_rate", rate)
-    mids, _ = run_line(line_bits, pcfg.link, pcfg.tx, pcfg.rx, pcfg.q_factor,
-                       derive_seed(seed, 2), max_errors=max_errors)
+    mids, _ = run_line(line_bits, pcfg.link, pcfg.tx, pcfg.rx, derive_seed(seed, 2),
+                       max_errors=max_errors)
     return int(np.count_nonzero(mids != line_bits[:mids.size])) <= max_errors
 
 

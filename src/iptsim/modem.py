@@ -29,18 +29,15 @@ class TxParams:
     ic_on: float         # A, collector current when switched on
 
     def __post_init__(self):
-        if self.bit_rate <= 0:
-            raise ValueError("bit_rate must be positive")
+        for name in ("carrier_freq", "sample_rate", "bit_rate", "vcc", "rc_load"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
+        if not 0 <= self.ic_on < math.inf:
+            raise ValueError("ic_on must be finite and non-negative")
         if self.sample_rate < 20 * self.carrier_freq:
             raise ValueError("sample_rate must be at least 20x the carrier")
         if self.carrier_freq < 10 * self.bit_rate:
             raise ValueError("carrier_freq must be at least 10x the bit rate")
-        if self.vcc <= 0:
-            raise ValueError("vcc must be positive")
-        if self.rc_load <= 0:
-            raise ValueError("rc_load must be positive")
-        if self.ic_on < 0:
-            raise ValueError("ic_on must be non-negative")
         if self.vcc - self.ic_on * self.rc_load < 0:
             raise ValueError("saturated output vcc - ic_on*rc_load must not go negative")
 
@@ -59,12 +56,9 @@ class RxParams:
     envelope_order: int = 1
 
     def __post_init__(self):
-        if self.hf_cutoff <= 0:
-            raise ValueError("hf_cutoff must be positive")
-        if self.envelope_tau <= 0:
-            raise ValueError("envelope_tau must be positive")
-        if self.threshold <= 0:
-            raise ValueError("threshold must be positive")
+        for name in ("hf_cutoff", "envelope_tau", "threshold"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if self.envelope_order < 1:
             raise ValueError("envelope_order must be at least 1")
 

@@ -62,11 +62,10 @@ def as_bits(bits) -> np.ndarray:
 class _LineChain:
     """Per-run filter, comparator and noise state, one method per stage."""
 
-    def __init__(self, link: LinkParams, tx: TxParams, rx: RxParams,
-                 q_factor: float, noise_seed: int):
+    def __init__(self, link: LinkParams, tx: TxParams, rx: RxParams, noise_seed: int):
         self.spb = tx.sample_rate / tx.bit_rate
         self.sub_stride = self.spb / 16.0
-        self.gain = voltage_gain(link, tx.carrier_freq, q_factor)
+        self.gain = voltage_gain(link, tx.carrier_freq)
         self.noise_rms = link.noise_rms
         self.on_level = -(tx.ic_on * tx.rc_load)  # drive minus the static rail
         self.omega = 2.0 * np.pi * tx.carrier_freq / tx.sample_rate
@@ -137,8 +136,8 @@ class _LineChain:
         return self.compare(self.envelope(self.filter_hf(y)))
 
 
-def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
-             q_factor: float, noise_seed: int, usart_rx: UsartRx | None = None,
+def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams, noise_seed: int,
+             usart_rx: UsartRx | None = None,
              max_errors: int | None = None) -> tuple[np.ndarray, list[tuple[int, bool]]]:
     """Transmit bit-period levels across the link and recover them.
 
@@ -161,7 +160,7 @@ def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams,
     bits = as_bits(line_bits)
     if bits.size == 0:
         raise ValueError("run_line requires a non-empty bit stream")
-    chain = _LineChain(link, tx, rx, q_factor, noise_seed)
+    chain = _LineChain(link, tx, rx, noise_seed)
     chunk_bits = max(1, int(_CHUNK_SAMPLES // chain.spb))
     mids = np.empty(bits.size, dtype=np.uint8)
     received: list[tuple[int, bool]] = []

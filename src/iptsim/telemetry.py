@@ -264,31 +264,20 @@ def classify_faults(state: MotorState, th: Thresholds, prev: FaultSet) -> FaultS
     limit*(1 -/+ hysteresis_fraction); in between it holds its prior value.
     """
     h = th.hysteresis_fraction
+    # Each rule's sign turns its limit into an upper one: a lower limit is
+    # negated with its reading, which is exact, so one comparison serves both.
     rules = (
-        (FaultSet.OVERTEMP, state.temp_c, th.temp_max_c, True),
-        (FaultSet.OVERSPEED, state.speed_rpm, th.speed_max_rpm, True),
-        (FaultSet.UNDERSPEED, state.speed_rpm, th.speed_min_rpm, False),
-        (FaultSet.OVERVOLT, state.voltage_v, th.volt_max_v, True),
-        (FaultSet.UNDERVOLT, state.voltage_v, th.volt_min_v, False),
-        (FaultSet.OVERCURRENT, state.current_a, th.curr_max_a, True),
+        (FaultSet.OVERTEMP, state.temp_c, th.temp_max_c, 1.0),
+        (FaultSet.OVERSPEED, state.speed_rpm, th.speed_max_rpm, 1.0),
+        (FaultSet.UNDERSPEED, state.speed_rpm, th.speed_min_rpm, -1.0),
+        (FaultSet.OVERVOLT, state.voltage_v, th.volt_max_v, 1.0),
+        (FaultSet.UNDERVOLT, state.voltage_v, th.volt_min_v, -1.0),
+        (FaultSet.OVERCURRENT, state.current_a, th.curr_max_a, 1.0),
     )
     mask = 0
-    for bit, value, limit, is_upper in rules:
-        if is_upper:
-            if value > limit:
-                active = True
-            elif value < limit * (1.0 - h):
-                active = False
-            else:
-                active = bool(prev.mask & bit)
-        else:
-            if value < limit:
-                active = True
-            elif value > limit * (1.0 + h):
-                active = False
-            else:
-                active = bool(prev.mask & bit)
-        if active:
+    for bit, value, limit, sign in rules:
+        value, limit = sign * value, sign * limit
+        if value > limit or (prev.mask & bit and value >= limit * (1.0 - sign * h)):
             mask |= bit
     return FaultSet(mask)
 

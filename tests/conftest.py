@@ -56,7 +56,7 @@ def reference_logic(bits, cfg, noise_seed) -> np.ndarray:
     carrier = np.sin(2.0 * np.pi * tx.carrier_freq / fs * np.arange(edges[-1]))
     gated = np.repeat(np.asarray(bits, dtype=bool), np.diff(edges)) & (carrier > 0.0)
     collector = np.where(gated, tx.vcc - tx.ic_on * tx.rc_load, tx.vcc)
-    y = voltage_gain(cfg.link, tx.carrier_freq, cfg.q_factor) * (collector - tx.vcc)
+    y = voltage_gain(cfg.link, tx.carrier_freq) * (collector - tx.vcc)
     if cfg.link.noise_rms > 0:
         y = y + np.random.default_rng(noise_seed).normal(0.0, cfg.link.noise_rms, y.size)
     a_hf = math.exp(-2.0 * math.pi * rx.hf_cutoff / fs)

@@ -62,7 +62,7 @@ def test_c2_ten_cm_air_gap(baseline):
 def test_c3_filter_order_and_carrier_comparisons(baseline, baseline_maxrate):
     """A second filter section raises the max rate; a faster carrier never lowers it."""
     base_rate = baseline_maxrate[0].rate_bps
-    second_order = max_data_rate(with_settings(baseline, {"sim.filter_order": 2}), BER_CEILING)
+    second_order = max_data_rate(with_settings(baseline, {"rx.envelope_order": 2}), BER_CEILING)
     assert second_order.rate_bps > base_rate
     fast_carrier = max_data_rate(with_settings(baseline, {"tx.carrier_freq": 20e3}), BER_CEILING)
     assert fast_carrier.rate_bps >= base_rate
@@ -144,7 +144,7 @@ def test_c5_modem_analytic_suite(baseline, tx_params, rx_params):
         1 / math.sqrt(2), rel=0.01)
 
     # The line chain's envelope stage on a sustained unit carrier: 2/pi within 5%.
-    chain = _LineChain(baseline.link, tx_params, rx_params, baseline.q_factor, 0)
+    chain = _LineChain(baseline.link, tx_params, rx_params, 0)
     tau_n = int(rx_params.envelope_tau * 1e6)
     env = chain.envelope(np.sin(2 * np.pi * 10e3 * np.arange(30 * tau_n) / 1e6))
     assert np.all(np.abs(env[5 * tau_n:] - 2 / np.pi) <= 0.05 * 2 / np.pi)
@@ -157,7 +157,7 @@ def test_c5_modem_analytic_suite(baseline, tx_params, rx_params):
         rc = float(rng.uniform(1.0, 1000.0))
         ic = float(rng.uniform(0.0, vcc / rc))
         p = replace(tx_params, vcc=vcc, rc_load=rc, ic_on=ic)
-        chain = _LineChain(baseline.link, p, rx_params, baseline.q_factor, 0)
+        chain = _LineChain(baseline.link, p, rx_params, 0)
         drive, _, _ = chain.drive(np.array([1], dtype=np.uint8), 0)
         assert vcc + drive[1] == vcc - ic * rc   # carrier positive: switched on
         assert vcc + drive[0] == vcc             # sin(0) = 0: cut off
@@ -167,8 +167,7 @@ def test_c5_modem_analytic_suite(baseline, tx_params, rx_params):
         link = replace(baseline.link, gap=gap, noise_rms=0.0)
         for value in range(256):
             bits = [(value >> i) & 1 for i in range(8)]
-            mids, _ = run_line(bits, link, baseline.tx, baseline.rx,
-                               baseline.q_factor, 0)
+            mids, _ = run_line(bits, link, baseline.tx, baseline.rx, 0)
             assert mids.tolist() == bits, f"byte 0x{value:02X} corrupted at {gap} m"
 
 

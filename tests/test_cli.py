@@ -110,7 +110,7 @@ def test_sweep_to_file(cfg_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("var,values", [("link.c_tank", "2.5330296e-7,2.8e-7"),
-                                        ("sim.filter_order", "1,2")])
+                                        ("rx.envelope_order", "1,2")])
 def test_sweep_any_key(cfg_file, capsys, var, values):
     # Values parse by the key's type, so an integer key takes "1,2".
     assert main(["sweep", str(cfg_file), "--var", var,

@@ -1,11 +1,16 @@
 import math
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
-from iptsim.config import (_DERIVED, SETTINGS, ConfigError, ScriptStep, build_config,
-                           load_config, parse_config_text, setting_key, with_settings)
-from iptsim.channel import resonant_frequency, tank_gain
+from iptsim.config import (_DERIVED, SETTINGS, ConfigError, ScenarioConfig, ScriptStep,
+                           build_config, load_config, parse_config_text, setting_key,
+                           with_settings)
+from iptsim.channel import LinkParams, resonant_frequency, tank_gain
+from iptsim.modem import RxParams, TxParams
+from iptsim.telemetry import Thresholds
+from iptsim.usart import UsartConfig
 from iptsim.harness import _point_config, run_scenario
 
 
@@ -24,7 +29,7 @@ def test_threshold_calibrated_for_ten_cm(baseline_cfg):
     from iptsim.config import mark_envelope
     import dataclasses
     worst = dataclasses.replace(baseline_cfg.link, gap=0.10)
-    expected = 0.3 * mark_envelope(worst, baseline_cfg.tx, baseline_cfg.q_factor)
+    expected = 0.3 * mark_envelope(worst, baseline_cfg.tx)
     assert baseline_cfg.rx.threshold == pytest.approx(expected, rel=1e-12)
 
 
@@ -83,11 +88,11 @@ def test_script_must_be_increasing():
 
 
 def test_filter_order_validated(baseline_cfg):
-    with pytest.raises(ConfigError, match="filter_order"):
-        build_config({"sim.filter_order": 4})
+    with pytest.raises(ConfigError, match="envelope_order"):
+        build_config({"rx.envelope_order": 4})
     for order in (0, 4):
-        with pytest.raises(ConfigError, match="filter_order"):
-            with_settings(baseline_cfg, {"sim.filter_order": order})
+        with pytest.raises(ConfigError, match="envelope_order"):
+            with_settings(baseline_cfg, {"rx.envelope_order": order})
 
 
 def test_integer_keys_parse_exactly():
@@ -96,10 +101,10 @@ def test_integer_keys_parse_exactly():
     assert build_config(values).master_seed == 12345678901234567891
 
 
-@pytest.mark.parametrize("text", ["sim.filter_order = 2.9", "sim.filter_order = 2.0",
+@pytest.mark.parametrize("text", ["rx.envelope_order = 2.9", "rx.envelope_order = 2.0",
                                   "usart.spbrg = 1e2", "sim.master_seed = 7.5",
                                   {"sim.master_seed": 1.5}, {"usart.spbrg": 100.7},
-                                  {"sim.filter_order": 2.0}, {"link.gap": True}], ids=str)
+                                  {"rx.envelope_order": 2.0}, {"link.gap": True}], ids=str)
 def test_fractional_integer_text_rejected(text):
     # Dict input follows the same type rules as file text.
     if isinstance(text, dict):
@@ -149,6 +154,18 @@ def test_non_finite_script_value_rejected():
         build_config(script=[ScriptStep(float("nan"), 25, 1450, 230, 1.5)])
 
 
+@pytest.mark.parametrize("speed", ["-5", "inf"])
+def test_script_reading_refused_by_motor_state_is_a_config_error(tmp_path, speed):
+    # MotorState's own checks run when the config is built, not at the first
+    # session of run_scenario.
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"script.0 = 0 25 {speed} 230 1.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="^script .*speed_rpm must be"):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match="^script .*speed_rpm must be"):
+        build_config(script=[ScriptStep(0, 25, float(speed), 230, 1.5)])
+
+
 def test_session_must_fit_poll_interval():
     # Only a scenario polls, so only run_scenario checks the session airtime.
     cfg = build_config({"sim.poll_interval_s": 0.1})
@@ -173,7 +190,7 @@ def test_resolved_map_holds_the_derived_values(baseline_cfg):
         {key: value for key, value in baseline_cfg.settings.items() if key not in _DERIVED}
     assert all(baseline_cfg.settings[key] is None for key in _DERIVED)
     assert resolved["usart.spbrg"] == 249
-    assert resolved["link.c_tank"] == baseline_cfg.link.coils.c_tank
+    assert resolved["link.c_tank"] == baseline_cfg.link.c_tank
     assert resolved["rx.threshold"] == baseline_cfg.rx.threshold
     assert resolved["link.noise_rms"] == baseline_cfg.link.noise_rms
     held = with_settings(baseline_cfg, {**resolved, "sim.snr_db": 0.0})
@@ -181,16 +198,16 @@ def test_resolved_map_holds_the_derived_values(baseline_cfg):
 
 
 def test_tank_is_tuned_to_the_carrier(baseline_cfg):
-    assert baseline_cfg.link.coils.c_tank == 1 / ((2 * math.pi * 1e4) ** 2 * 1e-3)
-    assert tank_gain(10e3, baseline_cfg.link.coils, baseline_cfg.q_factor) == 1.0
+    assert baseline_cfg.link.c_tank == 1 / ((2 * math.pi * 1e4) ** 2 * 1e-3)
+    assert tank_gain(10e3, baseline_cfg.link) == 1.0
 
 
 def test_config_file_carrier_tunes_the_tank(tmp_path):
     path = tmp_path / "fast.cfg"
     path.write_text("tx.carrier_freq = 20e3\n", encoding="utf-8")
     cfg = load_config(str(path))
-    assert resonant_frequency(cfg.link.coils) == pytest.approx(20e3, rel=1e-12)
-    assert cfg.link.coils.c_tank == 6.332573977646111e-08
+    assert resonant_frequency(cfg.link) == pytest.approx(20e3, rel=1e-12)
+    assert cfg.link.c_tank == 6.332573977646111e-08
 
 
 @pytest.mark.parametrize("values", [{"link.l_secondary": 0.0}, {"link.l_secondary": -1e-3},
@@ -227,7 +244,7 @@ def test_explicit_noise_overrides_snr():
 
 def test_filter_order_shrinks_envelope_tau():
     base = build_config()
-    faster = with_settings(base, {"sim.filter_order": 2})
+    faster = with_settings(base, {"rx.envelope_order": 2})
     assert faster.rx.envelope_order == 2
     assert faster.rx.envelope_tau < base.rx.envelope_tau
     assert faster.rx.threshold == base.rx.threshold
@@ -237,27 +254,27 @@ def test_carrier_variant_retunes_tank():
     base = build_config()
     fast = with_settings(base, {"tx.carrier_freq": 20e3})
     assert fast.tx.carrier_freq == 20e3
-    assert resonant_frequency(fast.link.coils) == pytest.approx(20e3, rel=1e-12)
+    assert resonant_frequency(fast.link) == pytest.approx(20e3, rel=1e-12)
     assert fast.rx.hf_cutoff == 40e3
     assert fast.rx.envelope_tau == pytest.approx(base.rx.envelope_tau / 2)
 
 
 def test_carrier_variant_keeps_pinned_tank():
     cfg = build_config({"link.c_tank": 2.8e-7})
-    assert with_settings(cfg, {"tx.carrier_freq": 20e3}).link.coils.c_tank == 2.8e-7
+    assert with_settings(cfg, {"tx.carrier_freq": 20e3}).link.c_tank == 2.8e-7
 
 
 def test_carrier_sweep_point_holds_the_base_tank(baseline_cfg):
     point = _point_config(baseline_cfg, "tx.carrier_freq", 20e3)
     assert point.tx.carrier_freq == 20e3
-    assert point.link.coils == baseline_cfg.link.coils
-    assert resonant_frequency(point.link.coils) == pytest.approx(10e3, rel=1e-12)
+    assert point.link == baseline_cfg.link
+    assert resonant_frequency(point.link) == pytest.approx(10e3, rel=1e-12)
     assert point.rx == baseline_cfg.rx
 
 
 def test_envelope_tau_order_rule():
     base = build_config()
-    third = with_settings(base, {"sim.filter_order": 3})
+    third = with_settings(base, {"rx.envelope_order": 3})
     expected = (8 * math.pi) ** (1 / 3) / (2 * math.pi * 10e3)
     assert third.rx.envelope_tau == pytest.approx(expected, rel=1e-12)
 
@@ -274,3 +291,24 @@ def test_with_no_settings_is_unchanged(baseline_cfg):
 def test_baseline_file_matches_settings_table():
     shipped = Path(__file__).resolve().parents[1] / "configs" / "baseline.cfg"
     assert load_config(str(shipped)).settings == build_config().settings
+
+
+# The object each section fills; sim.* fills the ScenarioConfig itself.
+_SECTION_OBJECTS = {"link": LinkParams, "tx": TxParams, "rx": RxParams,
+                    "usart": UsartConfig, "thresholds": Thresholds, "sim": ScenarioConfig}
+_RULE_INPUTS = {"sim.snr_db", "sim.calibration_gap"}
+
+
+def test_every_key_names_a_field_of_its_section():
+    for key in set(SETTINGS) - _RULE_INPUTS:
+        section, name = key.split(".")
+        assert name in {f.name for f in fields(_SECTION_OBJECTS[section])}, key
+
+
+@pytest.mark.parametrize("key", ["sim.q_factor", "sim.filter_order"])
+def test_moved_keys_are_unknown(key):
+    with pytest.raises(ConfigError, match=f"unknown configuration key {key!r}"):
+        parse_config_text(f"{key} = 2\n")
+    with pytest.raises(ConfigError, match=f"unknown configuration key {key!r}"):
+        build_config({key: 2})
+

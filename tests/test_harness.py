@@ -162,16 +162,34 @@ def test_low_rate_points_hold_spbrg(baseline_cfg):
 def test_sweep_any_key_holds_the_calibration(baseline_cfg):
     # A +10% pickup capacitor detunes the tank; the point keeps the base's
     # receiver, noise and SPBRG, so only the link gain changes (Q = 10).
-    c = baseline_cfg.link.coils.c_tank
+    c = baseline_cfg.link.c_tank
     results = ber_sweep(baseline_cfg, "link.c_tank", [c, 1.1 * c], bits_per_point=1000)
     assert [r.var for r in results] == [c, 1.1 * c]
     point = _point_config(baseline_cfg, "link.c_tank", 1.1 * c)
     assert point.rx == baseline_cfg.rx
     assert point.link.noise_rms == baseline_cfg.link.noise_rms
     assert point.usart.spbrg == baseline_cfg.usart.spbrg
-    gain = [voltage_gain(cfg.link, cfg.tx.carrier_freq, cfg.q_factor)
+    gain = [voltage_gain(cfg.link, cfg.tx.carrier_freq)
             for cfg in (baseline_cfg, point)]
     assert gain[1] / gain[0] == pytest.approx(0.7237, abs=1e-4)
+
+
+@pytest.mark.parametrize("variable,value,read", [
+    ("q_factor", 20.0, lambda link, rx: link.q_factor),
+    ("envelope_order", 2, lambda link, rx: rx.envelope_order),
+])
+def test_sweep_names_reach_their_section(baseline_cfg, monkeypatch, variable, value, read):
+    # link.q_factor and rx.envelope_order, swept by the name after the dot,
+    # reach the link and receiver that run_line is given.
+    seen = []
+
+    def recording(line_bits, link, tx, rx, *args, **kwargs):
+        seen.append(read(link, rx))
+        return line_bits, []
+
+    monkeypatch.setattr(harness, "run_line", recording)
+    [point] = ber_sweep(baseline_cfg, variable, [value], bits_per_point=1000)
+    assert point.var == value and seen == [value]
 
 
 def _no_run_line(*args, **kwargs):
@@ -246,7 +264,7 @@ def _full_probe_ber(cfg, rate, bits_per_probe):
     rng = np.random.default_rng(derive_seed(seed, 1))
     line_bits = rng.integers(0, 2, bits_per_probe).astype(np.uint8)
     tx = replace(cfg.tx, bit_rate=float(rate))
-    mids, _ = run_line(line_bits, cfg.link, tx, cfg.rx, cfg.q_factor, derive_seed(seed, 2))
+    mids, _ = run_line(line_bits, cfg.link, tx, cfg.rx, derive_seed(seed, 2))
     assert mids.size == bits_per_probe
     return int(np.count_nonzero(mids != line_bits)) / bits_per_probe
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.signal import lfilter
 
-from iptsim.channel import CoilPair, LinkParams
+from iptsim.channel import LinkParams
 from iptsim.config import noise_rms_for_snr
 from iptsim.modem import RxParams, TxParams, hysteresis_compare, lowpass_coeffs
 from iptsim.simulate import _LineChain, run_line
@@ -16,12 +16,11 @@ from conftest import reference_compare
 FS = 1e6
 # Resonant at 10 kHz: a 0.05 m gap gives a link gain of about 0.17, so the
 # 10 V drive swing settles near 0.86 V, well above the fixture threshold.
-LINK = LinkParams(CoilPair(1e-3, 1e-3, 2.5330296e-7, 0.6, 0.04), gap=0.05)
-Q = 10.0
+LINK = LinkParams(1e-3, 1e-3, 2.5330296e-7, 0.6, 0.04, q_factor=10.0, gap=0.05)
 
 
 def _chain(tx, rx):
-    return _LineChain(LINK, tx, rx, Q, 0)
+    return _LineChain(LINK, tx, rx, 0)
 
 
 def _tone(freq, fs, n, amp=1.0):
@@ -70,12 +69,12 @@ def test_gate_carrier_phase_continuous(tx_params, rx_params):
 
 def test_gate_carrier_rejects_empty(tx_params, rx_params):
     with pytest.raises(ValueError):
-        run_line([], LINK, tx_params, rx_params, Q, 0)
+        run_line([], LINK, tx_params, rx_params, 0)
 
 
 def test_gate_carrier_rejects_non_bits(tx_params, rx_params):
     with pytest.raises(ValueError):
-        run_line([0, 2, 1], LINK, tx_params, rx_params, Q, 0)
+        run_line([0, 2, 1], LINK, tx_params, rx_params, 0)
 
 
 # ---- drive stage: switching transistor ---------------------------------------
@@ -222,19 +221,19 @@ def test_hysteresis_compare_carries_initial_through(x, initial):
 def test_loopback_all_byte_patterns(tx_params, rx_params):
     for value in range(256):
         bits = [(value >> i) & 1 for i in range(8)]
-        mids, _ = run_line(bits, LINK, tx_params, rx_params, Q, 0)
+        mids, _ = run_line(bits, LINK, tx_params, rx_params, 0)
         assert mids.tolist() == bits, f"byte 0x{value:02X} corrupted"
 
 
 def test_demodulate_all_zero_waveform(tx_params, rx_params):
-    mids, _ = run_line([0] * 8, LINK, tx_params, rx_params, Q, 0)
+    mids, _ = run_line([0] * 8, LINK, tx_params, rx_params, 0)
     assert mids.tolist() == [0] * 8
 
 
 def test_loopback_at_20db_snr(tx_params, rx_params):
     bits = np.random.default_rng(2024).integers(0, 2, 10_000)
-    link = replace(LINK, noise_rms=noise_rms_for_snr(LINK, tx_params, Q, 20.0))
-    mids, _ = run_line(bits, link, tx_params, rx_params, Q, 2024)
+    link = replace(LINK, noise_rms=noise_rms_for_snr(LINK, tx_params, 20.0))
+    mids, _ = run_line(bits, link, tx_params, rx_params, 2024)
     ber = np.count_nonzero(mids != bits) / bits.size
     assert ber < 1e-3
 
@@ -242,11 +241,11 @@ def test_loopback_at_20db_snr(tx_params, rx_params):
 def test_ber_non_increasing_in_noise(tx_params, rx_params):
     # One seed, so every run scales the same unit-variance noise draw.
     bits = np.random.default_rng(31).integers(0, 2, 3000)
-    mark_rms = noise_rms_for_snr(LINK, tx_params, Q, 0.0)
+    mark_rms = noise_rms_for_snr(LINK, tx_params, 0.0)
     bers = []
     for sigma in (2.0, 1.0, 0.1):
         link = replace(LINK, noise_rms=sigma * mark_rms)
-        mids, _ = run_line(bits, link, tx_params, rx_params, Q, 77)
+        mids, _ = run_line(bits, link, tx_params, rx_params, 77)
         bers.append(np.count_nonzero(mids != bits) / bits.size)
     assert bers[0] >= bers[1] >= bers[2]
     assert bers[2] == 0.0
@@ -274,3 +273,17 @@ def test_tx_params_invariants(kwargs):
 def test_rx_params_invariants(kwargs):
     with pytest.raises(ValueError):
         RxParams(**kwargs)
+
+
+_TX = dict(carrier_freq=10e3, sample_rate=1e6, bit_rate=250, vcc=12, rc_load=100, ic_on=0.1)
+_RX = dict(hf_cutoff=20e3, envelope_tau=1e-4, threshold=0.1)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=str)
+@pytest.mark.parametrize("cls,valid,field", [
+    pytest.param(cls, valid, name, id=f"{cls.__name__}.{name}")
+    for cls, valid in ((TxParams, _TX), (RxParams, _RX)) for name in valid])
+def test_params_refuse_non_finite(cls, valid, field, value):
+    cls(**valid)
+    with pytest.raises(ValueError, match=field):
+        cls(**{**valid, field: value})

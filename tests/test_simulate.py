@@ -35,7 +35,7 @@ def test_run_line_matches_composed_ops_noiseless(baseline_cfg):
     cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, noise_rms=0.0))
     rng = np.random.default_rng(8)
     bits = rng.integers(0, 2, 40).astype(np.uint8)
-    mids, _ = run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 0)
+    mids, _ = run_line(bits, cfg.link, cfg.tx, cfg.rx, 0)
     assert np.array_equal(mids, reference_mids(bits, cfg, 0))
 
 
@@ -45,7 +45,7 @@ def test_run_line_matches_composed_ops_noisy_multichunk(baseline_cfg):
     cfg = baseline_cfg
     rng = np.random.default_rng(21)
     bits = rng.integers(0, 2, 600).astype(np.uint8)
-    mids, _ = run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 77)
+    mids, _ = run_line(bits, cfg.link, cfg.tx, cfg.rx, 77)
     assert np.array_equal(mids, reference_mids(bits, cfg, 77))
 
 
@@ -66,7 +66,7 @@ def test_run_line_x16_feed_matches_loop_reference(baseline_cfg, monkeypatch, bit
     cfg = replace(baseline_cfg, tx=replace(baseline_cfg.tx, bit_rate=bit_rate))
     bits = np.random.default_rng(21).integers(0, 2, 600).astype(np.uint8)
     rx = _RecordingRx(cfg.usart)
-    run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 77, usart_rx=rx)
+    run_line(bits, cfg.link, cfg.tx, cfg.rx, 77, usart_rx=rx)
     logic = reference_logic(bits, cfg, 77)
     stride = cfg.tx.sample_rate / cfg.tx.bit_rate / 16
     positions = []
@@ -79,8 +79,8 @@ def test_run_line_x16_feed_matches_loop_reference(baseline_cfg, monkeypatch, bit
 def test_run_line_deterministic(baseline_cfg):
     cfg = baseline_cfg
     bits = np.random.default_rng(3).integers(0, 2, 300).astype(np.uint8)
-    a, _ = run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 5)
-    b, _ = run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 5)
+    a, _ = run_line(bits, cfg.link, cfg.tx, cfg.rx, 5)
+    b, _ = run_line(bits, cfg.link, cfg.tx, cfg.rx, 5)
     assert np.array_equal(a, b)
 
 
@@ -90,7 +90,7 @@ def test_run_line_feeds_usart(baseline_cfg):
     bits = [1] * 12 + frame_encode(0xC3, None, cfg.usart) + [1] * 4
     rx = UsartRx(cfg.usart)
     _, received = run_line(np.array(bits, dtype=np.uint8), cfg.link, cfg.tx,
-                           cfg.rx, cfg.q_factor, 13, usart_rx=rx)
+                           cfg.rx, 13, usart_rx=rx)
     assert [(w & 0xFF, f) for w, f in received] == [(0xC3, False)]
 
 
@@ -109,7 +109,7 @@ def test_run_line_independent_of_chunk_size(baseline_cfg, budget, payload, gap, 
     bits = frame_line_bits(payload, cfg)
 
     def run():
-        return run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 13,
+        return run_line(bits, cfg.link, cfg.tx, cfg.rx, 13,
                         usart_rx=UsartRx(cfg.usart))
 
     ref_mids, ref_words = run()
@@ -128,7 +128,7 @@ def test_drive_matches_sin_carrier_on_every_sample(baseline_cfg, carrier, k0):
     # 7777.  The first 100 bits are ones, so the carrier is gated through for
     # 400 k samples; the reference evaluates np.sin on all 1.2 M samples.
     tx = replace(baseline_cfg.tx, carrier_freq=carrier)
-    chain = _LineChain(baseline_cfg.link, tx, baseline_cfg.rx, baseline_cfg.q_factor, 0)
+    chain = _LineChain(baseline_cfg.link, tx, baseline_cfg.rx, 0)
     bits = np.random.default_rng(5).integers(0, 2, 300).astype(np.uint8)
     bits[:100] = 1
     x, n0, n1 = chain.drive(bits, k0)
@@ -148,7 +148,7 @@ def test_run_line_memory_does_not_grow_as_bit_rate_falls(baseline_cfg, bit_rate)
     bits = np.random.default_rng(9).integers(0, 2, 600).astype(np.uint8)
     tracemalloc.start()
     try:
-        run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 7)
+        run_line(bits, cfg.link, cfg.tx, cfg.rx, 7)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -175,7 +175,7 @@ def test_run_line_traced_stages_stay_on_calling_thread(baseline_cfg, monkeypatch
     monkeypatch.setattr(UsartRx, "sample", _recording(traced["sample"], UsartRx.sample))
     monkeypatch.setattr(UsartRx, "read", _recording(traced["read"], UsartRx.read))
     monkeypatch.setattr(_LineChain, "couple", _recording(traced["couple"], _LineChain.couple))
-    _, received = run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 13,
+    _, received = run_line(bits, cfg.link, cfg.tx, cfg.rx, 13,
                            usart_rx=UsartRx(cfg.usart))
     assert [w & 0xFF for w, _ in received] == [0x5A, 0xC3, 0x0F]
     caller = threading.get_ident()
@@ -194,7 +194,7 @@ def test_run_line_reraises_failures_and_joins_its_worker(baseline_cfg, monkeypat
     cfg = baseline_cfg
     bits = np.random.default_rng(4).integers(0, 2, 60).astype(np.uint8)  # four chunks
     before = threading.active_count()
-    run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 3)
+    run_line(bits, cfg.link, cfg.tx, cfg.rx, 3)
     assert threading.active_count() == before
 
     couple, calls = _LineChain.couple, []
@@ -207,7 +207,7 @@ def test_run_line_reraises_failures_and_joins_its_worker(baseline_cfg, monkeypat
 
     monkeypatch.setattr(_LineChain, "couple", failing_couple)
     with pytest.raises(_Fault, match="third chunk"):
-        run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 3)
+        run_line(bits, cfg.link, cfg.tx, cfg.rx, 3)
     assert len(calls) == 3  # nothing was drawn past the failed chunk
     assert threading.active_count() == before
 
@@ -218,7 +218,7 @@ def test_run_line_reraises_failures_and_joins_its_worker(baseline_cfg, monkeypat
     monkeypatch.setattr(_LineChain, "couple", couple)
     monkeypatch.setattr(UsartRx, "sample", failing_sample)
     with pytest.raises(_Fault, match="receive half"):
-        run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 3, usart_rx=UsartRx(cfg.usart))
+        run_line(bits, cfg.link, cfg.tx, cfg.rx, 3, usart_rx=UsartRx(cfg.usart))
     assert threading.active_count() == before
 
 
@@ -232,7 +232,7 @@ def test_run_line_stops_after_the_chunk_that_exceeds_max_errors(baseline_cfg, mo
     chunk_bits = int(simulate._CHUNK_SAMPLES // (cfg.tx.sample_rate / cfg.tx.bit_rate))
 
     def run(limit):
-        return run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 13,
+        return run_line(bits, cfg.link, cfg.tx, cfg.rx, 13,
                         usart_rx=UsartRx(cfg.usart), max_errors=limit)
 
     full_mids, full_words = run(None)
@@ -272,7 +272,7 @@ def test_run_line_within_max_errors_returns_the_full_result(baseline_cfg):
     bits = frame_line_bits(b"\x5a\xc3", cfg)
 
     def run(limit):
-        return run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 13,
+        return run_line(bits, cfg.link, cfg.tx, cfg.rx, 13,
                         usart_rx=UsartRx(cfg.usart), max_errors=limit)
 
     full_mids, full_words = run(None)
@@ -293,7 +293,7 @@ def test_run_line_output_independent_of_thread_scheduling(baseline_cfg):
     bits = frame_line_bits(b"\x11\x22\x33", cfg)
 
     def run(seed):
-        mids, words = run_line(bits, cfg.link, cfg.tx, cfg.rx, cfg.q_factor, seed,
+        mids, words = run_line(bits, cfg.link, cfg.tx, cfg.rx, seed,
                                usart_rx=UsartRx(cfg.usart))
         return mids.tobytes(), words
 
@@ -317,7 +317,7 @@ def test_run_line_output_independent_of_thread_scheduling(baseline_cfg):
 def test_run_line_rejects_empty(baseline_cfg):
     cfg = baseline_cfg
     with pytest.raises(ValueError):
-        run_line([], cfg.link, cfg.tx, cfg.rx, cfg.q_factor, 0)
+        run_line([], cfg.link, cfg.tx, cfg.rx, 0)
 
 
 def test_derivation_rules():
@@ -330,26 +330,26 @@ def test_derivation_rules():
 def test_mark_envelope_closed_form(baseline_cfg):
     from iptsim.channel import voltage_gain
     cfg = baseline_cfg
-    gain = voltage_gain(cfg.link, cfg.tx.carrier_freq, cfg.q_factor)
-    assert mark_envelope(cfg.link, cfg.tx, cfg.q_factor) == pytest.approx(
+    gain = voltage_gain(cfg.link, cfg.tx.carrier_freq)
+    assert mark_envelope(cfg.link, cfg.tx) == pytest.approx(
         0.5 * cfg.tx.ic_on * cfg.tx.rc_load * gain)
 
 
 def test_mark_envelope_matches_simulation(baseline_cfg):
     # The closed form should agree with an actual settled idle-carrier run.
     cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, noise_rms=0.0))
-    chain = _LineChain(cfg.link, cfg.tx, cfg.rx, cfg.q_factor, noise_seed=0)
+    chain = _LineChain(cfg.link, cfg.tx, cfg.rx, noise_seed=0)
     drive, _, _ = chain.drive(np.ones(10, dtype=np.uint8), 0)
     env = chain.envelope(chain.filter_hf(chain.couple(drive)))
     settled = float(np.mean(env[len(env) // 2:]))
-    assert settled == pytest.approx(mark_envelope(cfg.link, cfg.tx, cfg.q_factor),
+    assert settled == pytest.approx(mark_envelope(cfg.link, cfg.tx),
                                     rel=0.02)
 
 
 def test_noise_rms_for_snr_definition(baseline_cfg):
     cfg = baseline_cfg
-    sigma = noise_rms_for_snr(cfg.link, cfg.tx, cfg.q_factor, 20.0)
+    sigma = noise_rms_for_snr(cfg.link, cfg.tx, 20.0)
     swing = cfg.tx.ic_on * cfg.tx.rc_load
     from iptsim.channel import voltage_gain
-    mark_rms = swing * voltage_gain(cfg.link, cfg.tx.carrier_freq, cfg.q_factor) / np.sqrt(2)
+    mark_rms = swing * voltage_gain(cfg.link, cfg.tx.carrier_freq) / np.sqrt(2)
     assert 20 * np.log10(mark_rms / sigma) == pytest.approx(20.0, abs=1e-9)

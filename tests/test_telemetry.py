@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,6 +197,21 @@ def test_classify_clears_past_hysteresis_band():
     assert held.mask & FaultSet.OVERTEMP  # 78 > 80*0.95, still held
     cleared = classify_faults(MotorState(75, 1450, 230, 1.5), TH, held)
     assert not cleared.mask & FaultSet.OVERTEMP
+
+
+@pytest.mark.parametrize("field,bit,below,inside,past", [
+    ("voltage_v", FaultSet.UNDERVOLT, 175.0, 185.0, 190.0),   # 180 V, band up to 189 V
+    ("speed_rpm", FaultSet.UNDERSPEED, 190.0, 205.0, 215.0),  # 200 RPM, band up to 210 RPM
+], ids=["undervolt", "underspeed"])
+def test_classify_clears_past_band_above_lower_limit(field, bit, below, inside, past):
+    def at(value):
+        return replace(NOMINAL, **{field: value})
+
+    set_bit = classify_faults(at(below), TH, FaultSet(0))
+    assert set_bit.mask == bit
+    assert classify_faults(at(inside), TH, set_bit).mask == bit
+    assert classify_faults(at(past), TH, set_bit).mask == 0
+    assert classify_faults(at(inside), TH, FaultSet(0)).mask == 0
 
 
 @settings(max_examples=200, deadline=None)
