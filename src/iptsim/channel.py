@@ -13,11 +13,6 @@ import math
 from dataclasses import dataclass
 
 
-def _check_inductances(*inductances: float) -> None:
-    if not all(0 < l < math.inf for l in inductances):
-        raise ValueError("coil inductances must be positive")
-
-
 @dataclass(frozen=True)
 class LinkParams:
     """Physical channel: coil pair, tuned pickup tank, air gap and noise level.
@@ -36,8 +31,7 @@ class LinkParams:
     noise_rms: float = 0.0  # V
 
     def __post_init__(self):
-        _check_inductances(self.l_primary, self.l_secondary)
-        for name in ("c_tank", "decay_length", "q_factor"):
+        for name in ("l_primary", "l_secondary", "c_tank", "decay_length", "q_factor"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
         if not 0 < self.k0 <= 1:
@@ -66,7 +60,10 @@ def resonant_frequency(link: LinkParams) -> float:
 
 def tuned_c_tank(freq: float, l_secondary: float) -> float:
     """Tank capacitance that resonates a pickup coil of l_secondary at freq."""
-    _check_inductances(l_secondary)
+    if not 0 < freq < math.inf:
+        raise ValueError("freq must be finite and positive")
+    if not 0 < l_secondary < math.inf:
+        raise ValueError("l_secondary must be finite and positive")
     return 1.0 / ((2.0 * math.pi * freq) ** 2 * l_secondary)
 
 
@@ -76,8 +73,8 @@ def tank_gain(freq: float, link: LinkParams) -> float:
     Second-order series-resonant shape: unity at resonance, half-power
     points separated by f_res / Q.
     """
-    if freq <= 0:
-        raise ValueError("freq must be positive")
+    if not 0 < freq < math.inf:
+        raise ValueError("freq must be finite and positive")
     f0 = resonant_frequency(link)
     detune = freq / f0 - f0 / freq
     return 1.0 / math.sqrt(1.0 + (link.q_factor * detune) ** 2)

@@ -137,16 +137,6 @@ HF_CUTOFF_CARRIER_RATIO = 2.0
 THRESHOLD_ENVELOPE_FRACTION = 0.3
 
 
-def derived_hf_cutoff(carrier_freq: float) -> float:
-    """Noise-filter corner placed above the carrier so it passes cleanly."""
-    return HF_CUTOFF_CARRIER_RATIO * carrier_freq
-
-
-def derived_envelope_tau(carrier_freq: float, order: int) -> float:
-    """Per-section smoothing time constant for a given cascade order."""
-    return RIPPLE_REJECTION ** (1.0 / order) / (2.0 * math.pi * carrier_freq)
-
-
 def mark_envelope(link: LinkParams, tx: TxParams) -> float:
     """Settled envelope level while the carrier is on.
 
@@ -179,9 +169,10 @@ _DERIVED = {
     "link.c_tank": lambda r, tx: tuned_c_tank(tx.carrier_freq, r["link.l_secondary"]),
     "link.noise_rms": lambda r, tx: noise_rms_for_snr(
         _link_at(r, r["link.gap"]), tx, r["sim.snr_db"]),
-    "rx.hf_cutoff": lambda r, tx: derived_hf_cutoff(tx.carrier_freq),
-    "rx.envelope_tau": lambda r, tx: derived_envelope_tau(
-        tx.carrier_freq, r["rx.envelope_order"]),
+    # The noise-filter corner sits above the carrier so the carrier passes cleanly.
+    "rx.hf_cutoff": lambda r, tx: HF_CUTOFF_CARRIER_RATIO * tx.carrier_freq,
+    "rx.envelope_tau": lambda r, tx: RIPPLE_REJECTION ** (1.0 / r["rx.envelope_order"]) / (
+        2.0 * math.pi * tx.carrier_freq),
     # The comparator is sized for the worst-case (largest) air gap.
     "rx.threshold": lambda r, tx: THRESHOLD_ENVELOPE_FRACTION * mark_envelope(
         _link_at(r, r["sim.calibration_gap"]), tx),
@@ -298,25 +289,28 @@ def build_config(values: dict[str, object] | None = None,
             raise ConfigError(f"script {astuple(step)}: {exc}") from exc
     if settings["rx.envelope_order"] not in (1, 2, 3):
         raise ConfigError("rx.envelope_order must be 1, 2, or 3")
+    if settings["sim.calibration_gap"] < 0:
+        raise ConfigError("sim.calibration_gap must be non-negative")
 
-    try:
-        tx = _fill(TxParams, "tx", settings)
-        thresholds = _fill(Thresholds, "thresholds", settings)
-        resolved = dict(settings)
-        for key, rule in _DERIVED.items():
-            if resolved[key] is None:
-                resolved[key] = rule(resolved, tx)
-        rx = _fill(RxParams, "rx", resolved)
-        usart = _fill(UsartConfig, "usart", resolved)
-        link = _fill(LinkParams, "link", resolved)
-    except SpbrgRangeError as exc:
-        raise ConfigError(f"tx.bit_rate, usart.fosc, usart.brgh: {exc}; "
-                          "pin usart.spbrg to choose the divisor") from exc
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return _fill(ScenarioConfig, "sim", settings, link=link, tx=tx, rx=rx, usart=usart,
-                 thresholds=thresholds, script=script, settings=settings,
-                 resolved=resolved)
+    # Each section runs its rules, then fills its object, so a link the
+    # receiver rules use has passed its checks.  The parameter objects name
+    # the field at fault, and the section prefixed here makes that the key.
+    resolved = dict(settings)
+    made = {}
+    for section, cls in (("tx", TxParams), ("thresholds", Thresholds), ("link", LinkParams),
+                         ("rx", RxParams), ("usart", UsartConfig)):
+        try:
+            for key, rule in _DERIVED.items():
+                if key.startswith(f"{section}.") and resolved[key] is None:
+                    resolved[key] = rule(resolved, made["tx"])
+            made[section] = _fill(cls, section, resolved)
+        except SpbrgRangeError as exc:
+            raise ConfigError(f"tx.bit_rate, usart.fosc, usart.brgh: {exc}; "
+                              "pin usart.spbrg to choose the divisor") from exc
+        except ValueError as exc:
+            raise ConfigError(f"{section}.{exc}") from exc
+    return _fill(ScenarioConfig, "sim", settings, **made, script=script,
+                 settings=settings, resolved=resolved)
 
 
 def load_config(path: str | None = None) -> ScenarioConfig:

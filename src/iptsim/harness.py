@@ -258,7 +258,7 @@ def ber_sweep(cfg: ScenarioConfig, variable: str, values,
     if bits_per_point < 1000:
         raise ValueError("bits_per_point must be at least 1000")
     bits_per_frame = READING_FRAME_LEN * cfg.usart.frame_bits
-    n_frames = max(1, math.ceil(bits_per_point / bits_per_frame))
+    n_frames = math.ceil(bits_per_point / bits_per_frame)
     results = []
     for index, value in enumerate(values):
         seed = derive_seed(cfg.master_seed, index)

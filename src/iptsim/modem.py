@@ -8,6 +8,7 @@ The line chain in iptsim.simulate composes them into the link.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +40,7 @@ class TxParams:
         if self.carrier_freq < 10 * self.bit_rate:
             raise ValueError("carrier_freq must be at least 10x the bit rate")
         if self.vcc - self.ic_on * self.rc_load < 0:
-            raise ValueError("saturated output vcc - ic_on*rc_load must not go negative")
+            raise ValueError("vcc must be at least the saturated drop ic_on*rc_load")
 
 
 @dataclass(frozen=True)
@@ -59,8 +60,9 @@ class RxParams:
         for name in ("hf_cutoff", "envelope_tau", "threshold"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        if self.envelope_order < 1:
-            raise ValueError("envelope_order must be at least 1")
+        if not (isinstance(self.envelope_order, numbers.Integral) and self.envelope_order >= 1):
+            raise ValueError(f"envelope_order must be an integer of at least 1, "
+                             f"got {self.envelope_order!r}")
 
 
 def lowpass_coeffs(cutoff_hz: float, sample_rate: float) -> tuple[np.ndarray, np.ndarray]:

@@ -244,7 +244,7 @@ def scan_frames(data: bytes) -> list[DecodedFrame]:
     i = 0
     while i + POLL_FRAME_LEN <= len(data):
         if data[i] == SOF:
-            end = i + 5 + data[i + 3] if i + 4 <= len(data) else len(data) + 1
+            end = i + 5 + data[i + 3]
             if end <= len(data):
                 try:
                     frames.append(decode_frame(data[i:end]))

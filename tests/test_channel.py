@@ -185,5 +185,15 @@ def test_link_params_refuse_non_finite(field, value):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf], ids=str)
 def test_tuned_c_tank_refuses_non_finite_inductance(value):
-    with pytest.raises(ValueError, match="coil inductances"):
+    with pytest.raises(ValueError, match="^l_secondary must be finite and positive$"):
         tuned_c_tank(10e3, value)
+
+
+@pytest.mark.parametrize("freq", [math.nan, math.inf, 0.0, -10e3], ids=str)
+def test_frequency_arguments_refuse_non_finite_and_non_positive(freq):
+    # NaN fails every ordered comparison, and an infinite frequency would give
+    # a 0 F tank and a gain of 0.
+    with pytest.raises(ValueError, match="^freq must be finite and positive$"):
+        tuned_c_tank(freq, 1e-3)
+    with pytest.raises(ValueError, match="^freq must be finite and positive$"):
+        tank_gain(freq, LINK)

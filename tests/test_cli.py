@@ -5,6 +5,8 @@ import pytest
 from iptsim import harness
 from iptsim.cli import main
 
+ROOT = Path(__file__).resolve().parent.parent
+
 BASELINE = """
 link.gap = 0.05
 tx.bit_rate = 250
@@ -60,6 +62,22 @@ def test_run_subcommand(cfg_file, tmp_path, capsys, monkeypatch):
     text = trace.read_text(encoding="utf-8")
     assert text.startswith("time_s,stage,value,unit\n")
     assert "\r" not in text
+
+
+def test_run_reproduces_the_committed_baseline_trace(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    assert main(["run", str(ROOT / "configs" / "baseline.cfg"), "--trace", str(trace)]) == 0
+    assert trace.read_bytes() == (ROOT / "results" / "baseline_trace.csv").read_bytes()
+
+
+def test_sweep_reproduces_the_first_committed_gap_points(tmp_path, capsys):
+    # A point's seed depends only on its index, so the first two points of the
+    # committed 17-point sweep come out alone byte for byte.
+    out = tmp_path / "gap.csv"
+    assert main(["sweep", str(ROOT / "configs" / "baseline.cfg"), "--var", "gap",
+                 "--values", "0,0.01", "--bits", "10000", "--out", str(out)]) == 0
+    committed = (ROOT / "results" / "gap_sweep.csv").read_bytes()
+    assert out.read_bytes() == b"".join(committed.splitlines(keepends=True)[:3])
 
 
 def test_run_bad_config_exit_code(tmp_path, capsys):

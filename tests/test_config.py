@@ -214,15 +214,39 @@ def test_config_file_carrier_tunes_the_tank(tmp_path):
                                     {"link.l_primary": 0.0}], ids=str)
 @pytest.mark.parametrize("tank", [{}, {"link.c_tank": 2.5e-7}], ids=["derived", "pinned"])
 def test_non_positive_inductance_is_a_config_error(values, tank):
-    with pytest.raises(ConfigError, match="^coil inductances must be positive$"):
+    # The derived tank's rule refuses l_secondary as LinkParams does.
+    key = next(iter(values))
+    with pytest.raises(ConfigError, match=f"^{key} must be finite and positive$"):
         build_config({**values, **tank})
 
 
 def test_zero_fosc_reports_one_message():
     # With SPBRG derived, brg_divisor refuses fosc; with it pinned, UsartConfig does.
     for values in ({"usart.fosc": 0}, {"usart.fosc": 0, "usart.spbrg": 249}):
-        with pytest.raises(ConfigError, match=r"^fosc must be finite and positive, got 0\.0$"):
+        with pytest.raises(ConfigError, match=r"^usart\.fosc must be finite and positive, got 0\.0$"):
             build_config(values)
+
+
+_NAMED_ERRORS = [
+    ({"link.q_factor": 0}, "link.q_factor must be finite and positive"),
+    # The link is checked before the receiver rules build it at the calibration gap.
+    ({"link.k0": 2.0, "link.noise_rms": 0.01}, "link.k0 must be in (0, 1], got 2.0"),
+    ({"tx.vcc": 0}, "tx.vcc must be finite and positive"),
+    ({"tx.ic_on": 1.0}, "tx.vcc must be at least the saturated drop ic_on*rc_load"),
+    ({"thresholds.hysteresis_fraction": 0.5},
+     "thresholds.hysteresis_fraction must be in (0, 0.5)"),
+    ({"rx.threshold": -1}, "rx.threshold must be finite and positive"),
+    ({"usart.spbrg": 256}, "usart.spbrg must be in 0..255, got 256"),
+    ({"sim.calibration_gap": -0.01}, "sim.calibration_gap must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("values,message", _NAMED_ERRORS,
+                         ids=[next(iter(values)) for values, _ in _NAMED_ERRORS])
+def test_config_errors_name_their_key(values, message):
+    with pytest.raises(ConfigError) as exc:
+        build_config(values)
+    assert str(exc.value) == message
 
 
 def test_setting_key_takes_a_key_or_its_name():

@@ -269,6 +269,8 @@ def test_tx_params_invariants(kwargs):
     dict(hf_cutoff=20e3, envelope_tau=0, threshold=0.1),
     dict(hf_cutoff=20e3, envelope_tau=1e-4, threshold=0.0),
     dict(hf_cutoff=20e3, envelope_tau=1e-4, threshold=0.1, envelope_order=0),
+    dict(hf_cutoff=20e3, envelope_tau=1e-4, threshold=0.1, envelope_order=2.5),
+    dict(hf_cutoff=20e3, envelope_tau=1e-4, threshold=0.1, envelope_order=math.nan),
 ])
 def test_rx_params_invariants(kwargs):
     with pytest.raises(ValueError):

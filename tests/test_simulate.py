@@ -10,8 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from iptsim import simulate
-from iptsim.config import (derived_envelope_tau, derived_hf_cutoff, mark_envelope,
-                           noise_rms_for_snr)
+from iptsim.config import build_config, mark_envelope, noise_rms_for_snr
 from iptsim.harness import frame_line_bits
 from iptsim.simulate import _LineChain, run_line
 from iptsim.usart import UsartRx
@@ -321,10 +320,12 @@ def test_run_line_rejects_empty(baseline_cfg):
 
 
 def test_derivation_rules():
-    assert derived_hf_cutoff(10e3) == 20e3
-    assert derived_envelope_tau(10e3, 1) == pytest.approx(4.0 / 10e3)
-    assert derived_envelope_tau(20e3, 1) == pytest.approx(2.0 / 10e3)
-    assert derived_envelope_tau(10e3, 2) < derived_envelope_tau(10e3, 1)
+    base = build_config().rx
+    fast = build_config({"tx.carrier_freq": 20e3}).rx
+    assert (base.hf_cutoff, fast.hf_cutoff) == (20e3, 40e3)
+    assert base.envelope_tau == pytest.approx(4.0 / 10e3)
+    assert fast.envelope_tau == pytest.approx(2.0 / 10e3)
+    assert build_config({"rx.envelope_order": 2}).rx.envelope_tau < base.envelope_tau
 
 
 def test_mark_envelope_closed_form(baseline_cfg):
