@@ -15,10 +15,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_config
+from .config import load_config
 from .harness import (NoFeasibleRateError, ber_sweep, emit_csv, max_data_rate,
                       run_scenario)
-from .usart import SpbrgRangeError, brg_divisor
+from .usart import brg_divisor
 
 
 def _write_text(path: str, text: str) -> None:
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, SpbrgRangeError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except NoFeasibleRateError as exc:

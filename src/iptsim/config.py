@@ -2,7 +2,8 @@
 
 Files use `section.key = value` lines with `#` comments.  Units are
 canonical SI throughout: Hz, m, V, A, s.  Scripted readings use
-`script.N = <time_s> <temp_c> <speed_rpm> <voltage_v> <current_a>`.
+`script.N = <time_s> <temp_c> <speed_rpm> <voltage_v> <current_a>`, checked
+as they are read; the first starts at or before 0 s.
 
 SETTINGS names every key, its type and its default.  A key's section and
 name say where it goes: build_config fills each section's one parameter
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import astuple, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 from .channel import LinkParams, tuned_c_tank, voltage_gain
 from .modem import RxParams, TxParams
@@ -41,13 +42,14 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScriptStep:
-    """One scripted acquisition instant."""
+    """The reading the acquisition module takes from time_s on."""
 
     time_s: float
-    temp_c: float
-    speed_rpm: float
-    voltage_v: float
-    current_a: float
+    state: MotorState
+
+    def __post_init__(self):
+        if not math.isfinite(self.time_s):
+            raise ValueError(f"time_s must be finite, got {self.time_s}")
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,8 @@ class ScenarioConfig:
         times = [s.time_s for s in self.script]
         if not self.script or times != sorted(set(times)):
             raise ConfigError("script timestamps must be strictly increasing")
+        if times[0] > 0:
+            raise ConfigError(f"script must start at or before 0 s, first step at {times[0]} s")
 
 
 # Every configuration key with its type and default.  A key section.name fills
@@ -180,7 +184,7 @@ _DERIVED = {
         r["usart.fosc"], tx.bit_rate, brgh=r["usart.brgh"]).spbrg,
 }
 
-_DEFAULT_SCRIPT = (ScriptStep(0.0, 25.0, 1450.0, 230.0, 1.5),)
+_DEFAULT_SCRIPT = (ScriptStep(0.0, MotorState(25.0, 1450.0, 230.0, 1.5)),)
 
 _BOOL_WORDS = {"true": True, "1": True, "yes": True,
                "false": False, "0": False, "no": False}
@@ -233,10 +237,10 @@ def _parse_script_step(key: str, raw: str) -> ScriptStep:
         raise ConfigError(
             f"{key}: expected '<time_s> <temp_c> <speed_rpm> <voltage_v> <current_a>'")
     try:
-        vals = [float(p) for p in parts]
+        time_s, *reading = (float(p) for p in parts)
+        return ScriptStep(time_s, MotorState(*reading))
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    return ScriptStep(*vals)
 
 
 def parse_config_text(text: str) -> tuple[dict[str, object], list[ScriptStep]]:
@@ -280,13 +284,6 @@ def build_config(values: dict[str, object] | None = None,
     for key, value in (values or {}).items():
         settings[key] = _coerce(key, value)
     script = tuple(script) if script else _DEFAULT_SCRIPT
-    for step in script:
-        if not math.isfinite(step.time_s):
-            raise ConfigError(f"script time_s must be finite, got {step.time_s}")
-        try:
-            MotorState(*astuple(step)[1:])
-        except ValueError as exc:
-            raise ConfigError(f"script {astuple(step)}: {exc}") from exc
     if settings["rx.envelope_order"] not in (1, 2, 3):
         raise ConfigError("rx.envelope_order must be 1, 2, or 3")
     if settings["sim.calibration_gap"] < 0:
@@ -313,10 +310,8 @@ def build_config(values: dict[str, object] | None = None,
                  settings=settings, resolved=resolved)
 
 
-def load_config(path: str | None = None) -> ScenarioConfig:
-    """Load a config file (or the built-in baseline when path is None)."""
-    if path is None:
-        return build_config()
+def load_config(path: str) -> ScenarioConfig:
+    """Load a config file."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
     values, script = parse_config_text(text)

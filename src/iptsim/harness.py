@@ -8,17 +8,22 @@ mixer, so repeated runs produce byte-identical output.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, _coerce, build_config, setting_key
 from .seeds import derive_seed
-from .simulate import IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, run_line
-from .telemetry import (FaultSet, MotorState, POLL_FRAME_LEN, READING_FRAME_LEN,
-                        classify_faults, encode_frame, encode_poll, render_display,
-                        scan_frames, MSG_FAULT_ALARM, MSG_POLL, MSG_READING)
+from .simulate import run_line
+from .telemetry import (DecodedFrame, FaultSet, MotorState, POLL_FRAME_LEN,
+                        READING_FRAME_LEN, classify_faults, encode_frame, encode_poll,
+                        render_display, scan_frames, MSG_FAULT_ALARM, MSG_POLL, MSG_READING)
 from .usart import UsartRx, UsartTx, actual_baud
+
+IDLE_PREAMBLE_BITS = 12
+IDLE_TAIL_BITS = 4
 
 
 class NoFeasibleRateError(RuntimeError):
@@ -104,17 +109,6 @@ def _send(cfg: ScenarioConfig, frame_bytes: bytes,
     return scan_frames(payload), span.stop - span.start, errors
 
 
-def _script_lookup(cfg: ScenarioConfig, t: float) -> MotorState:
-    current = cfg.script[0]
-    for step in cfg.script:
-        if step.time_s <= t:
-            current = step
-        else:
-            break
-    return MotorState(current.temp_c, current.speed_rpm,
-                      current.voltage_v, current.current_a)
-
-
 def session_airtime_s(cfg: ScenarioConfig) -> float:
     """Wire time of one poll/reply exchange including idle padding."""
     pad = IDLE_PREAMBLE_BITS + IDLE_TAIL_BITS
@@ -146,13 +140,13 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
     bits_sent = bit_errors = 0
     fault_events: list[tuple[float, int]] = []
     prev_faults = FaultSet(0)
-    shown_state: MotorState | None = None
-    shown_faults = FaultSet(0)
+    shown: DecodedFrame | None = None
     sessions = 0
 
     t = 0.0
     while t < cfg.duration_s:
-        state = _script_lookup(cfg, t)
+        # The script starts at or before 0 s, so some step is at or before t.
+        state = cfg.script[bisect_right(cfg.script, t, key=attrgetter("time_s")) - 1].state
         faults = classify_faults(state, cfg.thresholds, prev_faults)
         new_bits = faults.mask & ~prev_faults.mask
         if faults.mask != prev_faults.mask:
@@ -188,17 +182,16 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
             frames_delivered += 1  # the poll made it across
             if decoded is not None:
                 frames_delivered += 1
-                shown_state = decoded.state
-                shown_faults = decoded.faults
+                shown = decoded
 
         prev_faults = faults
         sessions += 1
         t = sessions * cfg.poll_interval_s
 
-    if shown_state is None:
+    if shown is None:
         line1 = line2 = " " * 16
     else:
-        line1, line2 = render_display(shown_state, shown_faults)
+        line1, line2 = render_display(shown.state, shown.faults)
     baud = actual_baud(cfg.usart)
     report = ScenarioReport(
         duration_s=cfg.duration_s,

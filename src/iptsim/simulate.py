@@ -39,8 +39,6 @@ from .modem import (HYSTERESIS_FRACTION, RxParams, TxParams, hysteresis_compare,
                     lowpass_coeffs, smoothing_coeffs)
 from .usart import UsartRx
 
-IDLE_PREAMBLE_BITS = 12
-IDLE_TAIL_BITS = 4
 _CHUNK_SAMPLES = 1 << 16
 # The computed zero crossings m * half_cycle and phases omega * n are off by
 # about n * 1e-16 samples, so rounding can decide the carrier's sign only at a

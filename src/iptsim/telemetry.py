@@ -19,8 +19,9 @@ current uint16 (milli-A), fault bitmask uint8.
 
 from __future__ import annotations
 
+import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -120,6 +121,9 @@ class Thresholds:
     hysteresis_fraction: float = 0.05
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
         if self.speed_max_rpm <= self.speed_min_rpm:
             raise ValueError("speed_max_rpm must exceed speed_min_rpm")
         if self.volt_max_v <= self.volt_min_v:
@@ -138,8 +142,8 @@ class ProximityParams:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if self.sensing_range <= 0:
-            raise ValueError("sensing_range must be positive")
+        if not 0 < self.sensing_range < math.inf:
+            raise ValueError("sensing_range must be finite and positive")
         if not 0.03e-3 <= self.hysteresis <= 3e-3:
             raise ValueError("inductive sensor hysteresis must be 0.03mm..3mm")
         if not 0 <= self.repeatability_sigma <= 0.01e-3:
@@ -326,6 +330,9 @@ def speed_from_pulses(pulses, sample_rate: float, teeth: int,
         raise ValueError("window must cover at least one sample")
     pulses = np.asarray(pulses)
     n = int(round(window_s * sample_rate))
+    if n > pulses.size:
+        raise ValueError(f"window_s {window_s} spans {n} samples, "
+                         f"longer than the {pulses.size}-sample trace")
     seg = pulses[-n:]
     edges = int(np.count_nonzero((seg[1:] == 1) & (seg[:-1] == 0)))
     return edges / teeth * 60.0 / window_s

@@ -103,6 +103,13 @@ def test_run_unreachable_baud_exit_code(tmp_path, capsys):
     assert "usart.spbrg" in capsys.readouterr().err
 
 
+def test_run_late_script_start_exit_code(tmp_path, capsys):
+    bad = tmp_path / "late.cfg"
+    bad.write_text(BASELINE.replace("script.0 = 0.0", "script.0 = 2.0"), encoding="utf-8")
+    assert main(["run", str(bad)]) == 1
+    assert "script must start at or before 0 s" in capsys.readouterr().err
+
+
 def test_run_session_longer_than_poll_interval_exit_code(tmp_path, capsys):
     bad = tmp_path / "busy.cfg"
     bad.write_text(BASELINE + "sim.poll_interval_s = 0.1\n", encoding="utf-8")

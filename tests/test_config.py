@@ -9,7 +9,7 @@ from iptsim.config import (_DERIVED, SETTINGS, ConfigError, ScenarioConfig, Scri
                            with_settings)
 from iptsim.channel import LinkParams, resonant_frequency, tank_gain
 from iptsim.modem import RxParams, TxParams
-from iptsim.telemetry import Thresholds
+from iptsim.telemetry import MotorState, Thresholds
 from iptsim.usart import UsartConfig
 from iptsim.harness import _point_config, run_scenario
 
@@ -52,7 +52,7 @@ script.1 = 2.0 90.0 1450 230.0 1.5
     assert cfg.usart.brgh is True
     assert cfg.usart.spbrg == 249                         # exact 1000 baud, BRGH at 4 MHz
     assert len(cfg.script) == 2
-    assert cfg.script[1] == ScriptStep(2.0, 90.0, 1450.0, 230.0, 1.5)
+    assert cfg.script[1] == ScriptStep(2.0, MotorState(90.0, 1450.0, 230.0, 1.5))
 
 
 def test_unknown_key_reported():
@@ -82,7 +82,8 @@ def test_malformed_line_rejected():
 
 
 def test_script_must_be_increasing():
-    steps = [ScriptStep(1.0, 25, 1450, 230, 1.5), ScriptStep(0.5, 25, 1450, 230, 1.5)]
+    steps = [ScriptStep(1.0, MotorState(25, 1450, 230, 1.5)),
+             ScriptStep(0.5, MotorState(25, 1450, 230, 1.5))]
     with pytest.raises(ConfigError, match="script"):
         build_config(script=steps)
 
@@ -150,8 +151,8 @@ def test_non_finite_values_rejected(tmp_path, key, raw):
 
 
 def test_non_finite_script_value_rejected():
-    with pytest.raises(ConfigError, match="script"):
-        build_config(script=[ScriptStep(float("nan"), 25, 1450, 230, 1.5)])
+    with pytest.raises(ValueError, match="time_s"):
+        ScriptStep(float("nan"), MotorState(25, 1450, 230, 1.5))
 
 
 @pytest.mark.parametrize("speed", ["-5", "inf"])
@@ -160,10 +161,34 @@ def test_script_reading_refused_by_motor_state_is_a_config_error(tmp_path, speed
     # session of run_scenario.
     path = tmp_path / "scenario.cfg"
     path.write_text(f"script.0 = 0 25 {speed} 230 1.5\n", encoding="utf-8")
-    with pytest.raises(ConfigError, match="^script .*speed_rpm must be"):
+    with pytest.raises(ConfigError, match=r"^script\.0: speed_rpm must be"):
         load_config(str(path))
-    with pytest.raises(ConfigError, match="^script .*speed_rpm must be"):
-        build_config(script=[ScriptStep(0, 25, float(speed), 230, 1.5)])
+    with pytest.raises(ValueError, match="^speed_rpm must be"):
+        ScriptStep(0, MotorState(25, float(speed), 230, 1.5))
+
+
+@pytest.mark.parametrize("line,message", [
+    ("script.3 = nan 25 1450 230 1.5", r"^script\.3: time_s must be finite, got nan$"),
+    ("script.0 = 0 nan 1450 230 1.5", r"^script\.0: temp_c must be finite$"),
+    ("script.1 = 0 25 1450 230 many", r"^script\.1: could not convert"),
+])
+def test_script_errors_name_their_key(line, message):
+    # Each reading is built once, as it is read, so its error names its line.
+    with pytest.raises(ConfigError, match=message):
+        parse_config_text(line + "\n")
+
+
+def test_script_must_start_at_or_before_zero(tmp_path):
+    # A script starting at 2 s used to send its 2 s reading at 0 s and 1 s.
+    path = tmp_path / "late.cfg"
+    path.write_text("script.0 = 2 95 1450 230 1.5\n", encoding="utf-8")
+    message = r"^script must start at or before 0 s, first step at 2\.0 s$"
+    with pytest.raises(ConfigError, match=message):
+        load_config(str(path))
+    with pytest.raises(ConfigError, match=message):
+        build_config(script=[ScriptStep(2.0, MotorState(95, 1450, 230, 1.5))])
+    early = build_config(script=[ScriptStep(-1.0, MotorState(25, 1450, 230, 1.5))])
+    assert early.script[0].time_s == -1.0
 
 
 def test_session_must_fit_poll_interval():

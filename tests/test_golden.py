@@ -10,6 +10,7 @@ import hashlib
 
 from iptsim.config import ScriptStep, build_config
 from iptsim.harness import ber_sweep, emit_csv, max_data_rate, run_scenario
+from iptsim.telemetry import MotorState
 
 GOLDEN_SHA256 = {
     "gap_sweep": "07b3295344361f8d963f4d82416fa6939ea8b8ff8b19e5cf2f2f784079cca5f7",
@@ -34,7 +35,7 @@ def test_golden_max_data_rate(baseline_cfg):
 
 def test_golden_scenario():
     # The second reading is over temperature, so a fault-alarm frame goes out.
-    script = [ScriptStep(0.0, 25.0, 1450.0, 230.0, 1.5),
-              ScriptStep(1.0, 90.0, 1450.0, 230.0, 1.5)]
+    script = [ScriptStep(0.0, MotorState(25.0, 1450.0, 230.0, 1.5)),
+              ScriptStep(1.0, MotorState(90.0, 1450.0, 230.0, 1.5))]
     report, traces = run_scenario(build_config({"sim.duration_s": 2.0}, script))
     assert _sha256(repr(report) + "\n" + emit_csv(traces)) == GOLDEN_SHA256["scenario"]

@@ -10,12 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from iptsim import harness
 from iptsim.channel import voltage_gain
 from iptsim.config import ConfigError, ScriptStep, build_config, with_settings
-from iptsim.harness import (MaxRateResult, NoFeasibleRateError, SweepResult, TraceRecord,
+from iptsim.harness import (IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, MaxRateResult,
+                            NoFeasibleRateError, SweepResult, TraceRecord,
                             _error_budget, _point_config, ber_sweep, emit_csv,
                             frame_line_bits, max_data_rate, run_scenario,
                             session_airtime_s)
 from iptsim.seeds import derive_seed
-from iptsim.simulate import IDLE_PREAMBLE_BITS, IDLE_TAIL_BITS, run_line
+from iptsim.simulate import run_line
+from iptsim.telemetry import MotorState
 from iptsim.usart import actual_baud, frame_encode
 
 
@@ -39,13 +41,21 @@ def test_scenario_noiseless_full_delivery(short_cfg):
 
 def test_scenario_fault_alarm_and_display():
     cfg = build_config({"sim.duration_s": 4.0},
-                       script=[ScriptStep(0.0, 25.0, 1450, 230.0, 1.5),
-                               ScriptStep(2.0, 95.0, 1450, 230.0, 1.5)])
+                       script=[ScriptStep(0.0, MotorState(25.0, 1450, 230.0, 1.5)),
+                               ScriptStep(2.0, MotorState(95.0, 1450, 230.0, 1.5))])
     report, traces = run_scenario(cfg)
     assert report.fault_events == [(2.0, 1)]
     assert "FLT:01" in report.display_line2
     alarm = [r for r in traces if r.stage == "reply_type" and r.value == 3.0]
     assert len(alarm) == 1 and alarm[0].time_s == 2.0
+
+
+def test_scenario_sends_the_last_step_at_or_before_each_session():
+    steps = [ScriptStep(t, MotorState(temp, 1450, 230.0, 1.5))
+             for t, temp in ((-1.0, 30.0), (1.0, 40.0), (1.5, 50.0))]
+    _, traces = run_scenario(build_config({"sim.duration_s": 3.0}, steps))
+    assert [(r.time_s, r.value) for r in traces if r.stage == "temp"] == \
+        [(0.0, 30.0), (1.0, 40.0), (2.0, 50.0)]
 
 
 def test_scenario_deterministic(short_cfg):

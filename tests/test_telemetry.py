@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,15 @@ def test_thresholds_invariants():
         Thresholds(80, 3000, 200, 260, 180, 6, hysteresis_fraction=0.6)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["temp_max_c", "speed_max_rpm", "speed_min_rpm",
+                                   "volt_max_v", "volt_min_v", "curr_max_a"])
+def test_thresholds_refuse_non_finite_limits(field, value):
+    # A NaN limit used to construct, and its fault could then never set.
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        replace(TH, **{field: value})
+
+
 # ---- fault classifier -------------------------------------------------------
 
 def test_classify_nominal_is_clear():
@@ -260,6 +270,12 @@ def test_proximity_params_bounds():
         ProximityParams(4e-3, 0.5e-3, 1e-3)    # repeatability too loose
 
 
+@pytest.mark.parametrize("sensing_range", [math.nan, math.inf, 0.0, -4e-3])
+def test_proximity_params_refuse_bad_sensing_range(sensing_range):
+    with pytest.raises(ValueError, match="^sensing_range must be finite and positive$"):
+        ProximityParams(sensing_range, 0.5e-3, 0.0)
+
+
 def test_speed_no_edges():
     assert speed_from_pulses(np.zeros(1000, dtype=np.uint8), 1e3, 4, 1.0) == 0.0
 
@@ -267,6 +283,13 @@ def test_speed_no_edges():
 def test_speed_hundred_edges():
     pulses = np.tile(np.array([0, 1] + [0] * 8, dtype=np.uint8), 100)
     assert speed_from_pulses(pulses, 1e3, 4, 1.0) == pytest.approx(1500.0)
+
+
+def test_speed_window_longer_than_trace_refused():
+    # A 10 s window over this 1 s trace of 1500 RPM used to read 150 RPM.
+    pulses = np.tile(np.array([0, 1] + [0] * 8, dtype=np.uint8), 100)
+    with pytest.raises(ValueError, match="window_s 10.0 spans 10000 samples"):
+        speed_from_pulses(pulses, 1e3, 4, 10.0)
 
 
 def test_speed_teeth_scaling():
