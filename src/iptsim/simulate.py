@@ -25,6 +25,11 @@ decisions and the USART feed) on the calling thread.  Only the worker draws
 noise, chunk by chunk in stream order, so the output never depends on
 thread scheduling; the overlap comes from numpy and scipy releasing the
 GIL inside the large array operations.
+
+Each half keeps few chunk-sized arrays alive at once.  The transmit half
+adds the scaled drive into the noise draw in place, block by block; the
+receive half runs both HF sections in one sosfilt call and rectifies the
+HF output in place.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.signal import lfilter, sosfilt
 
 from .channel import LinkParams, voltage_gain
 from .modem import (HYSTERESIS_FRACTION, RxParams, TxParams, hysteresis_compare,
@@ -40,6 +45,9 @@ from .modem import (HYSTERESIS_FRACTION, RxParams, TxParams, hysteresis_compare,
 from .usart import UsartRx
 
 _CHUNK_SAMPLES = 1 << 16
+# couple() adds the scaled drive to the noise in blocks of this many samples,
+# so gain * x never exists at chunk size.
+_COUPLE_BLOCK = 1 << 13
 # The computed zero crossings m * half_cycle and phases omega * n are off by
 # about n * 1e-16 samples, so rounding can decide the carrier's sign only at a
 # sample this close (in samples) to a nominal zero crossing.  Those samples
@@ -68,9 +76,11 @@ class _LineChain:
         self.on_level = -(tx.ic_on * tx.rc_load)  # drive minus the static rail
         self.omega = 2.0 * np.pi * tx.carrier_freq / tx.sample_rate
         self.half_cycle = tx.sample_rate / (2.0 * tx.carrier_freq)  # samples
-        self.hf = lowpass_coeffs(rx.hf_cutoff, tx.sample_rate)
+        # Each HF section is a second-order row [b0, 0, 0, 1, a1, 0] of one sosfilt.
+        b, a = lowpass_coeffs(rx.hf_cutoff, tx.sample_rate)
+        self.hf_sos = np.tile(np.concatenate((b, [0.0, 0.0], a, [0.0])), (2, 1))
         self.env = smoothing_coeffs(rx.envelope_tau, tx.sample_rate)
-        self.z_hf = [np.zeros(1), np.zeros(1)]
+        self.z_hf = np.zeros((2, 2))
         self.z_env = [np.zeros(1) for _ in range(rx.envelope_order)]
         self.cmp_state = False
         self.cmp_high = rx.threshold * (1.0 + HYSTERESIS_FRACTION)
@@ -99,21 +109,32 @@ class _LineChain:
         return np.where(on & positive, self.on_level, 0.0), n0, n1
 
     def couple(self, x: np.ndarray) -> np.ndarray:
-        """Inductive link: scalar gain at the carrier plus Gaussian noise."""
-        y = self.gain * x
-        if self.noise_rms > 0:
-            y = y + self.rng.normal(0.0, self.noise_rms, y.size)
+        """Inductive link: scalar gain at the carrier plus Gaussian noise.
+
+        Returns a new array and leaves x as it is.  The scaled drive is
+        added into the noise draw block by block, which gives the same sums
+        as gain * x + noise without a chunk-sized gain * x.
+        """
+        if self.noise_rms == 0:
+            return self.gain * x
+        y = self.rng.normal(0.0, self.noise_rms, x.size)
+        for i in range(0, x.size, _COUPLE_BLOCK):
+            y[i:i + _COUPLE_BLOCK] += self.gain * x[i:i + _COUPLE_BLOCK]
         return y
 
     def filter_hf(self, y: np.ndarray) -> np.ndarray:
-        """Two cascaded RC low-pass sections that strip noise above the carrier."""
-        for i in range(2):
-            y, self.z_hf[i] = lfilter(*self.hf, y, zi=self.z_hf[i])
+        """Two cascaded RC low-pass sections that strip noise above the carrier.
+
+        One sosfilt call runs both sections.  Its values equal two chained
+        lfilter sections, except that an exact zero may carry the other
+        sign, which the rectifier cannot see.
+        """
+        y, self.z_hf = sosfilt(self.hf_sos, y, zi=self.z_hf)
         return y
 
     def envelope(self, y: np.ndarray) -> np.ndarray:
-        """Full-wave rectifier followed by the RC smoothing cascade."""
-        y = np.abs(y)
+        """Full-wave rectifier, in place on y, followed by the RC smoothing cascade."""
+        y = np.abs(y, out=y)
         for i in range(len(self.z_env)):
             y, self.z_env[i] = lfilter(*self.env, y, zi=self.z_env[i])
         return y

@@ -20,6 +20,7 @@ current uint16 (milli-A), fault bitmask uint8.
 from __future__ import annotations
 
 import math
+import numbers
 import struct
 from dataclasses import dataclass, fields
 
@@ -324,8 +325,11 @@ def speed_from_pulses(pulses, sample_rate: float, teeth: int,
 
     RPM = (rising edges in the last window_s) / teeth * 60 / window_s.
     """
-    if teeth < 1:
-        raise ValueError("teeth must be at least 1")
+    if not (isinstance(teeth, numbers.Integral) and teeth >= 1):
+        raise ValueError(f"teeth must be an integer of at least 1, got {teeth!r}")
+    for name, value in (("sample_rate", sample_rate), ("window_s", window_s)):
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
     if window_s * sample_rate < 1:
         raise ValueError("window must cover at least one sample")
     pulses = np.asarray(pulses)

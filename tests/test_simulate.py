@@ -154,6 +154,23 @@ def test_run_line_memory_does_not_grow_as_bit_rate_falls(baseline_cfg, bit_rate)
     assert peak < 8 * 2 ** 20
 
 
+def test_run_line_working_set_is_five_chunk_arrays(baseline_cfg):
+    # At 250 bit/s a chunk is 16 bits of 4000 samples: 0.49 MiB of float64.
+    # Two chained HF lfilter sections, a separate rectifier output and a
+    # chunk-sized gain * x and noise sum held about six of them at the peak
+    # (3.01 MiB).  One sosfilt call, the rectifier in place and the drive
+    # added into the noise draw leave five (2.53-2.61 MiB).
+    cfg = replace(baseline_cfg, tx=replace(baseline_cfg.tx, bit_rate=250.0))
+    bits = np.random.default_rng(9).integers(0, 2, 600).astype(np.uint8)
+    tracemalloc.start()
+    try:
+        run_line(bits, cfg.link, cfg.tx, cfg.rx, 7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.8 * 2 ** 20
+
+
 def _recording(calls, fn):
     """Wrap fn so each call appends the calling thread's identifier to calls."""
     def wrapper(*args, **kwargs):

@@ -292,6 +292,20 @@ def test_speed_window_longer_than_trace_refused():
         speed_from_pulses(pulses, 1e3, 4, 10.0)
 
 
+@pytest.mark.parametrize("name,value", [
+    ("sample_rate", math.nan), ("sample_rate", math.inf), ("sample_rate", -1e3),
+    ("window_s", math.nan), ("window_s", math.inf), ("window_s", -math.inf),
+    ("teeth", 2.5), ("teeth", math.nan), ("teeth", 0), ("teeth", -4),
+])
+def test_speed_refuses_bad_arguments_by_name(name, value):
+    # A NaN or infinite window used to fail deep in numpy without naming it,
+    # and teeth=2.5 turned these 100 edges into 2400 RPM.
+    pulses = np.tile(np.array([0, 1] + [0] * 8, dtype=np.uint8), 100)
+    args = {"sample_rate": 1e3, "teeth": 4, "window_s": 1.0, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        speed_from_pulses(pulses, **args)
+
+
 def test_speed_teeth_scaling():
     pulses = np.tile(np.array([1, 0], dtype=np.uint8), 50)
     one = speed_from_pulses(pulses, 100.0, 1, 1.0)
