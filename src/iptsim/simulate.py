@@ -26,18 +26,25 @@ noise, chunk by chunk in stream order, so the output never depends on
 thread scheduling; the overlap comes from numpy and scipy releasing the
 GIL inside the large array operations.
 
+The filters run the two compiled kernels behind scipy.signal.lfilter and
+scipy.signal.sosfilt, loaded from their files, so scipy.signal itself (about
+a second and 75 MiB to import) is never imported.
+
 Each half keeps few chunk-sized arrays alive at once.  The transmit half
 adds the scaled drive into the noise draw in place, block by block; the
-receive half runs both HF sections in one sosfilt call and rectifies the
-HF output in place.
+receive half runs both HF sections in one sosfilt kernel call on the link
+output in place and rectifies the HF output in place.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
-from scipy.signal import lfilter, sosfilt
+import scipy
 
 from .channel import LinkParams, voltage_gain
 from .modem import (HYSTERESIS_FRACTION, RxParams, TxParams, hysteresis_compare,
@@ -53,6 +60,29 @@ _COUPLE_BLOCK = 1 << 13
 # sample this close (in samples) to a nominal zero crossing.  Those samples
 # take their sign from np.sin itself.
 _ZERO_CROSSING_TOLERANCE = 1e-3
+
+
+def _load_kernel(name: str):
+    """Load scipy.signal's compiled module `name` without running scipy/signal/__init__.py."""
+    folder = Path(scipy.__file__).parent / "signal"
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = folder / f"{name}{suffix}"
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(f"scipy.signal.{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy {scipy.__version__} has no compiled filter kernel "
+                      f"{name!r} in {folder}")
+
+
+_linear_filter = _load_kernel("_sigtools")._linear_filter
+_sosfilt = _load_kernel("_sosfilt")._sosfilt
+
+
+def lfilter(b: np.ndarray, a: np.ndarray, x: np.ndarray, zi: np.ndarray):
+    """scipy.signal.lfilter(b, a, x, zi=zi) along the last axis: (output, final state)."""
+    return _linear_filter(b, a, x, -1, zi)
 
 
 def as_bits(bits) -> np.ndarray:
@@ -125,11 +155,13 @@ class _LineChain:
     def filter_hf(self, y: np.ndarray) -> np.ndarray:
         """Two cascaded RC low-pass sections that strip noise above the carrier.
 
-        One sosfilt call runs both sections.  Its values equal two chained
-        lfilter sections, except that an exact zero may carry the other
-        sign, which the rectifier cannot see.
+        Filters y in place and returns it; y must be a C-contiguous float64
+        array, as couple()'s output is.  One sosfilt kernel call runs both
+        sections and updates z_hf through a view.  Its values equal two
+        chained lfilter sections, except that an exact zero may carry the
+        other sign, which the rectifier cannot see.
         """
-        y, self.z_hf = sosfilt(self.hf_sos, y, zi=self.z_hf)
+        _sosfilt(self.hf_sos, y[np.newaxis], self.z_hf[np.newaxis])
         return y
 
     def envelope(self, y: np.ndarray) -> np.ndarray:

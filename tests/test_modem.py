@@ -8,7 +8,8 @@ from scipy.signal import lfilter
 
 from iptsim.channel import LinkParams
 from iptsim.config import noise_rms_for_snr
-from iptsim.modem import RxParams, TxParams, hysteresis_compare, lowpass_coeffs
+from iptsim.modem import (RxParams, TxParams, hysteresis_compare, lowpass_coeffs,
+                          smoothing_coeffs)
 from iptsim.simulate import _LineChain, run_line
 
 from conftest import reference_compare
@@ -169,6 +170,26 @@ def test_envelope_non_negative(tx_params, rx_params):
     rng = np.random.default_rng(5)
     env = _chain(tx_params, rx_params).envelope(rng.normal(size=5000))
     assert np.all(env >= 0.0)
+
+
+@pytest.mark.parametrize("envelope_order", [1, 2, 3])
+@pytest.mark.parametrize("seed", [0, 1])
+def test_envelope_equals_chained_lfilter_sections(tx_params, rx_params, envelope_order, seed):
+    # The cascade calls scipy's compiled lfilter kernel directly.  Fed in
+    # random chunks with its state carried, it must give exactly the values
+    # of scipy.signal.lfilter sections chained over the whole input.
+    rx = replace(rx_params, envelope_order=envelope_order)
+    chain = _chain(tx_params, rx)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=20000)
+    x[rng.random(x.size) < 0.2] = 0.0
+    b, a = smoothing_coeffs(rx.envelope_tau, tx_params.sample_rate)
+    expected = np.abs(x)
+    for _ in range(envelope_order):
+        expected = lfilter(b, a, expected)
+    cuts = np.sort(rng.choice(np.arange(1, x.size), 7, replace=False))
+    got = np.concatenate([chain.envelope(part) for part in np.split(x, cuts)])
+    assert np.array_equal(got, expected)
 
 
 # ---- comparator stage --------------------------------------------------------

@@ -1,9 +1,12 @@
 """The streamed line chain must match the whole-array reference in conftest."""
 
+import json
+import subprocess
 import sys
 import threading
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +19,33 @@ from iptsim.simulate import _LineChain, run_line
 from iptsim.usart import UsartRx
 
 from conftest import reference_logic, reference_mids
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# Run in a fresh interpreter, so no other test has imported scipy.signal yet.
+_KERNELS_ALONE = """
+import json, sys
+sys.path.insert(0, "src")
+import numpy as np
+from iptsim import simulate
+from iptsim.config import load_config
+from iptsim.modem import smoothing_coeffs
+cfg = load_config("configs/baseline.cfg")
+alone = "scipy.signal" not in sys.modules
+simulate.run_line(np.tile([1, 0], 50), cfg.link, cfg.tx, cfg.rx, 3)
+import scipy.signal
+b, a = smoothing_coeffs(cfg.rx.envelope_tau, cfg.tx.sample_rate)
+x = np.random.default_rng(4).normal(size=5000)
+z = np.array([0.3])
+want, got = scipy.signal.lfilter(b, a, x, zi=z), simulate.lfilter(b, a, x, zi=z)
+sos = np.tile(np.concatenate((b, [0.0, 0.0], a, [0.0])), (2, 1))
+print(json.dumps({
+    "alone": alone,
+    "lfilter": [np.array_equal(w, g) for w, g in zip(want, got)],
+    "sosfilt": np.array_equal(scipy.signal.sosfilt(sos, x),
+                              scipy.signal.lfilter(b, a, scipy.signal.lfilter(b, a, x))),
+}))
+"""
 
 
 class _RecordingRx(UsartRx):
@@ -159,7 +189,8 @@ def test_run_line_working_set_is_five_chunk_arrays(baseline_cfg):
     # Two chained HF lfilter sections, a separate rectifier output and a
     # chunk-sized gain * x and noise sum held about six of them at the peak
     # (3.01 MiB).  One sosfilt call, the rectifier in place and the drive
-    # added into the noise draw leave five (2.53-2.61 MiB).
+    # added into the noise draw leave five (2.53-2.61 MiB).  Running the HF
+    # sections in place on the link output frees one more (2.21-2.22 MiB).
     cfg = replace(baseline_cfg, tx=replace(baseline_cfg.tx, bit_rate=250.0))
     bits = np.random.default_rng(9).integers(0, 2, 600).astype(np.uint8)
     tracemalloc.start()
@@ -168,7 +199,21 @@ def test_run_line_working_set_is_five_chunk_arrays(baseline_cfg):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.8 * 2 ** 20
+    assert peak < 2.4 * 2 ** 20
+
+
+def test_filter_kernels_load_without_scipy_signal():
+    # Importing scipy.signal costs about a second and 75 MiB; the chain needs
+    # only its two compiled kernels.  Loading them first must not break the
+    # package for a later importer.
+    out = subprocess.run([sys.executable, "-c", _KERNELS_ALONE], cwd=ROOT, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert json.loads(out) == {"alone": True, "lfilter": [True, True], "sosfilt": True}
+
+
+def test_missing_filter_kernel_names_itself():
+    with pytest.raises(ImportError, match="_no_such_kernel"):
+        simulate._load_kernel("_no_such_kernel")
 
 
 def _recording(calls, fn):

@@ -8,8 +8,6 @@ import importlib
 import sys
 from pathlib import Path
 
-import scipy.signal
-
 from iptsim import channel, harness, modem, simulate, usart
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -20,6 +18,7 @@ def test_tracer_counts_every_layer_of_a_gap_point(baseline_cfg, monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     tracer = importlib.import_module("tracer")
     sample = usart.UsartRx.__dict__["sample"]
+    lfilter = simulate.lfilter
 
     with tracer.Tracer() as t:
         t.begin_op(1)
@@ -29,7 +28,7 @@ def test_tracer_counts_every_layer_of_a_gap_point(baseline_cfg, monkeypatch):
     for name in ("simulate.lfilter.calls", "modem.hysteresis_compare.calls",
                  "channel.voltage_gain.calls", "usart.UsartRx.sample.calls"):
         assert layers[name] > 0, name
-    assert simulate.lfilter is scipy.signal.lfilter
+    assert simulate.lfilter is lfilter
     assert simulate.hysteresis_compare is modem.hysteresis_compare
     assert simulate.voltage_gain is channel.voltage_gain
     assert usart.UsartRx.__dict__["sample"] is sample
