@@ -67,9 +67,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_maxrate(args) -> int:
     cfg = load_config(args.config)
     result = max_data_rate(cfg, args.ber, bits_per_probe=args.bits_per_probe)
-    print(f"max data rate: {result.rate_bps} bit/s "
-          f"(search resolution {result.resolution_bps} bit/s, "
-          f"BER ceiling {args.ber:g})")
+    bound = (f"search resolution {result.resolution_bps} bit/s" if result.resolution_bps
+             else "capped at the carrier limit carrier/10, not a measured limit")
+    print(f"max data rate: {result.rate_bps} bit/s ({bound}, BER ceiling {args.ber:g})")
     return 0
 
 

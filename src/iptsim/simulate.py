@@ -31,9 +31,9 @@ scipy.signal.sosfilt, loaded from their files, so scipy.signal itself (about
 a second and 75 MiB to import) is never imported.
 
 Each half keeps few chunk-sized arrays alive at once.  The transmit half
-adds the scaled drive into the noise draw in place, block by block; the
-receive half runs both HF sections in one sosfilt kernel call on the link
-output in place and rectifies the HF output in place.
+gates the carrier into a bool switch state and adds the link's one level
+into the noise draw where it is on; the receive half runs both HF sections
+in one sosfilt kernel call on the link output and rectifies, both in place.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ from .modem import (HYSTERESIS_FRACTION, RxParams, TxParams, hysteresis_compare,
 from .usart import UsartRx
 
 _CHUNK_SAMPLES = 1 << 16
-# couple() adds the scaled drive to the noise in blocks of this many samples,
-# so gain * x never exists at chunk size.
-_COUPLE_BLOCK = 1 << 13
 # The computed zero crossings m * half_cycle and phases omega * n are off by
 # about n * 1e-16 samples, so rounding can decide the carrier's sign only at a
 # sample this close (in samples) to a nominal zero crossing.  Those samples
@@ -118,12 +115,13 @@ class _LineChain:
         self.rng = np.random.default_rng(noise_seed)
 
     def drive(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
-        """Switch output minus the rail for bits [k0, k0+len), and its sample span.
+        """Switch state for bits [k0, k0+len), and its sample span.
 
-        The transistor is on while a 1-bit gates a positive carrier
-        sin(omega * n), whose phase runs on across bits and chunks.  Its
-        sign is expanded from half-cycle runs, as the bits are: half-cycle
-        m starts at m * half_cycle and is positive for even m.
+        True where the transistor is on, its output on_level below the rail:
+        while a 1-bit gates a positive carrier sin(omega * n), whose phase
+        runs on across bits and chunks.  The sign is expanded from half-cycle
+        runs, as the bits are: half-cycle m starts at m * half_cycle and is
+        positive for even m.
         """
         edges = np.rint((np.arange(bits.size + 1) + k0) * self.spb).astype(np.int64)
         n0, n1 = int(edges[0]), int(edges[-1])
@@ -136,20 +134,21 @@ class _LineChain:
         near = near[(np.abs(near - zeros) < _ZERO_CROSSING_TOLERANCE)
                     & (near >= n0) & (near < n1)].astype(np.int64)
         positive[near - n0] = np.sin(self.omega * near) > 0.0
-        return np.where(on & positive, self.on_level, 0.0), n0, n1
+        positive &= on
+        return positive, n0, n1
 
-    def couple(self, x: np.ndarray) -> np.ndarray:
+    def couple(self, on: np.ndarray) -> np.ndarray:
         """Inductive link: scalar gain at the carrier plus Gaussian noise.
 
-        Returns a new array and leaves x as it is.  The scaled drive is
-        added into the noise draw block by block, which gives the same sums
-        as gain * x + noise without a chunk-sized gain * x.
+        Returns a new array: the noise draw plus gain * on_level where the
+        switch state is on, which is gain * drive + noise value for value,
+        since the draw is never -0.
         """
+        level = self.gain * self.on_level
         if self.noise_rms == 0:
-            return self.gain * x
-        y = self.rng.normal(0.0, self.noise_rms, x.size)
-        for i in range(0, x.size, _COUPLE_BLOCK):
-            y[i:i + _COUPLE_BLOCK] += self.gain * x[i:i + _COUPLE_BLOCK]
+            return np.where(on, level, 0.0)
+        y = self.rng.normal(0.0, self.noise_rms, on.size)
+        np.add(y, level, out=y, where=on)
         return y
 
     def filter_hf(self, y: np.ndarray) -> np.ndarray:
@@ -179,8 +178,8 @@ class _LineChain:
 
     def transmit(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
         """Link output for bits [k0, k0+len), and its sample span: the worker's half."""
-        x, n0, n1 = self.drive(bits, k0)
-        return self.couple(x), n0, n1
+        on, n0, n1 = self.drive(bits, k0)
+        return self.couple(on), n0, n1
 
     def receive(self, y: np.ndarray) -> np.ndarray:
         """Logic levels recovered from a chunk of link output: the caller's half."""

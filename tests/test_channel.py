@@ -107,55 +107,78 @@ def test_tank_gain_peaks_at_resonance_over_log_sweep():
     assert f0 / step <= peak <= f0 * step
 
 
-def _tone(freq, fs, n):
-    return np.sin(2 * np.pi * freq * np.arange(n) / fs)
+def _square(freq, fs, n):
+    """Switch state of a gated carrier: on over its positive half-cycles."""
+    return np.sin(2 * np.pi * freq * np.arange(n) / fs) > 0.0
 
 
-def _couple(x, link, tx, rx, noise_seed=0):
+def _couple(on, link, tx, rx, noise_seed=0):
     """The line chain's coupling stage: link gain plus channel noise."""
-    return _LineChain(link, tx, rx, noise_seed).couple(x)
+    return _LineChain(link, tx, rx, noise_seed).couple(on)
 
 
 def test_propagate_noiseless_is_scaled_copy(tx_params, rx_params):
     link = replace(LINK, gap=0.0, noise_rms=0.0, q_factor=1e6)
     f0 = resonant_frequency(link)
-    x = _tone(f0, 1e6, 20000)
-    out = _couple(x, link, replace(tx_params, carrier_freq=f0), rx_params)
+    tx = replace(tx_params, carrier_freq=f0)
+    on = _square(f0, 1e6, 20000)
+    out = _couple(on, link, tx, rx_params)
     gain = voltage_gain(link, f0)
     assert gain == pytest.approx(link.k0, rel=1e-9)  # on-resonance, equal coils
-    assert np.allclose(out, gain * x, rtol=1e-9, atol=1e-15)
+    on_level = _LineChain(link, tx, rx_params, 0).on_level
+    assert np.array_equal(out, gain * np.where(on, on_level, 0.0))
 
 
 def test_propagate_deterministic_for_fixed_seed(tx_params, rx_params):
     link = replace(LINK, gap=0.02, noise_rms=0.05)
-    x = _tone(10e3, 1e6, 5000)
-    a = _couple(x, link, tx_params, rx_params, noise_seed=99)
-    b = _couple(x, link, tx_params, rx_params, noise_seed=99)
-    c = _couple(x, link, tx_params, rx_params, noise_seed=100)
+    on = _square(10e3, 1e6, 5000)
+    a = _couple(on, link, tx_params, rx_params, noise_seed=99)
+    b = _couple(on, link, tx_params, rx_params, noise_seed=99)
+    c = _couple(on, link, tx_params, rx_params, noise_seed=100)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_propagate_noise_rms_on_silent_input(tx_params, rx_params):
     link = replace(LINK, gap=0.0, noise_rms=0.1)
-    out = _couple(np.zeros(200_000), link, tx_params, rx_params, noise_seed=7)
+    out = _couple(np.zeros(200_000, dtype=bool), link, tx_params, rx_params, noise_seed=7)
     rms = np.sqrt(np.mean(out ** 2))
     assert rms == pytest.approx(0.1, rel=0.05)
 
 
 def test_propagate_linear_when_noiseless(tx_params, rx_params):
+    # The drive level is -ic_on * rc_load; a 2 V drop leaves room under vcc for 3.5x.
     link = replace(LINK, gap=0.01, noise_rms=0.0)
-    rng = np.random.default_rng(3)
-    x = _tone(10e3, 1e6, 4000) * rng.normal(1, 0.1, 4000)
-    one = _couple(x, link, tx_params, rx_params)
-    scaled = _couple(3.5 * x, link, tx_params, rx_params)
+    tx = replace(tx_params, ic_on=0.02)
+    on = np.random.default_rng(3).random(4000) < 0.5
+    one = _couple(on, link, tx, rx_params)
+    scaled = _couple(on, link, replace(tx, ic_on=3.5 * tx.ic_on), rx_params)
     assert np.allclose(scaled, 3.5 * one, rtol=1e-9)
 
 
 def test_propagate_same_length_and_rate(tx_params, rx_params):
     link = replace(LINK, gap=0.03, noise_rms=0.01)
-    out = _couple(_tone(10e3, 1e6, 12345), link, tx_params, rx_params, noise_seed=1)
+    out = _couple(_square(10e3, 1e6, 12345), link, tx_params, rx_params, noise_seed=1)
     assert out.shape == (12345,)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("sigma", [0.0, 0.05, 0.12])
+def test_couple_is_gain_times_drive_plus_noise_exactly(tx_params, rx_params, sigma, seed):
+    # The link adds gain * on_level into the noise draw where the switch is on.
+    # Over random switch states cut into random chunks, with the chain's
+    # generator carried from chunk to chunk, that must give the bytes of
+    # gain * drive + noise drawn from a separate generator on the same seed.
+    link = replace(LINK, gap=0.02, noise_rms=sigma)
+    chain = _LineChain(link, tx_params, rx_params, seed)
+    ref = np.random.default_rng(seed)
+    rng = np.random.default_rng(100 + seed)
+    on = rng.random(50_000) < 0.5
+    cuts = np.sort(rng.choice(np.arange(1, on.size), 7, replace=False))
+    for part in np.split(on, cuts):
+        drive = np.where(part, chain.on_level, 0.0)
+        expected = ref.normal(0.0, sigma, part.size) + chain.gain * drive
+        assert np.array_equal(chain.couple(part), expected)
 
 
 @pytest.mark.parametrize("field,value", [

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from iptsim import harness
+from iptsim import cli, harness
 from iptsim.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -183,3 +183,19 @@ def test_maxrate_reports_rate(cfg_file, capsys):
                  "--bits-per-probe", "300"]) == 0
     out = capsys.readouterr().out
     assert "max data rate:" in out
+
+
+@pytest.mark.parametrize("result,line", [
+    (harness.MaxRateResult(413, 7),
+     "max data rate: 413 bit/s (search resolution 7 bit/s, BER ceiling 0.001)"),
+    (harness.MaxRateResult(1000, 0),
+     "max data rate: 1000 bit/s (capped at the carrier limit carrier/10, "
+     "not a measured limit, BER ceiling 0.001)"),
+])
+def test_maxrate_flags_a_result_capped_at_the_carrier_limit(cfg_file, capsys, monkeypatch,
+                                                           result, line):
+    # Resolution 0 means the carrier limit passed, so the search never found
+    # the link's own limit; the uncapped line keeps its text.
+    monkeypatch.setattr(cli, "max_data_rate", lambda cfg, ber, bits_per_probe: result)
+    assert main(["maxrate", str(cfg_file), "--ber", "1e-3"]) == 0
+    assert capsys.readouterr().out == line + "\n"

@@ -34,29 +34,29 @@ def _steady_amplitude(x, tail=0.5):
 
 
 def _drive(bits, tx, rx, k0=0):
-    x, _, _ = _chain(tx, rx).drive(np.asarray(bits, dtype=np.uint8), k0)
-    return x
+    """The drive stage's switch state: True where the transistor is on."""
+    on, _, _ = _chain(tx, rx).drive(np.asarray(bits, dtype=np.uint8), k0)
+    return on
 
 
 # ---- drive stage: carrier gating ---------------------------------------------
 
 def test_gate_carrier_all_zero_bits(tx_params, rx_params):
-    assert np.all(_drive([0, 0, 0], tx_params, rx_params) == 0.0)
+    assert not np.any(_drive([0, 0, 0], tx_params, rx_params))
 
 
 def test_gate_carrier_cycle_count(tx_params, rx_params):
     # One bit at 250 bit/s under a 10 kHz carrier holds 40 full cycles.
-    x = _drive([1], tx_params, rx_params)
-    switch_ons = np.count_nonzero((x[:-1] == 0) & (x[1:] != 0))
-    assert x.size == 4000
+    on = _drive([1], tx_params, rx_params)
+    switch_ons = np.count_nonzero(~on[:-1] & on[1:])
+    assert on.size == 4000
     assert switch_ons == 40
 
 
 def test_gate_carrier_gating_boundary(tx_params, rx_params):
-    x = _drive([1, 0], tx_params, rx_params)
-    first, second = x[:4000], x[4000:]
-    assert np.any(first != 0.0)
-    assert np.all(second == 0.0)
+    on = _drive([1, 0], tx_params, rx_params)
+    assert np.any(on[:4000])
+    assert not np.any(on[4000:])
 
 
 def test_gate_carrier_phase_continuous(tx_params, rx_params):
@@ -64,7 +64,7 @@ def test_gate_carrier_phase_continuous(tx_params, rx_params):
     # at a later bit index.
     both = _drive([1, 1], tx_params, rx_params)
     carrier = np.sin(2 * np.pi * tx_params.carrier_freq / FS * np.arange(8000))
-    assert np.array_equal(both != 0.0, carrier > 0.0)
+    assert np.array_equal(both, carrier > 0.0)
     assert np.array_equal(_drive([1], tx_params, rx_params, k0=1), both[4000:])
 
 
@@ -80,19 +80,24 @@ def test_gate_carrier_rejects_non_bits(tx_params, rx_params):
 
 # ---- drive stage: switching transistor ---------------------------------------
 
+# The switch output is vcc + on_level where the switch state is on, vcc elsewhere.
+
 def test_switch_drive_cutoff_gives_vcc(rx_params):
     p = TxParams(10e3, 1e6, 250, vcc=12.0, rc_load=100.0, ic_on=0.0)
-    assert np.all(p.vcc + _drive([1], p, rx_params) == 12.0)
+    assert np.any(_drive([1], p, rx_params))
+    assert p.vcc + _chain(p, rx_params).on_level == 12.0
 
 
 def test_switch_drive_on_level(tx_params, rx_params):
-    x = _drive([1], tx_params, rx_params)
-    assert np.all(tx_params.vcc + x[x != 0.0] == 2.0)  # 12 - 0.1 * 100
+    assert np.any(_drive([1], tx_params, rx_params))
+    assert tx_params.vcc + _chain(tx_params, rx_params).on_level == 2.0  # 12 - 0.1 * 100
 
 
 def test_switch_drive_two_level_output(tx_params, rx_params):
-    out = tx_params.vcc + _drive([1, 0], tx_params, rx_params)
-    assert set(np.unique(out)) == {2.0, 12.0}
+    on = _drive([1, 0], tx_params, rx_params)
+    assert on.dtype == bool
+    assert set(np.unique(on)) == {False, True}
+    assert tx_params.vcc + _chain(tx_params, rx_params).on_level == 2.0
 
 
 # ---- HF filter stage ---------------------------------------------------------

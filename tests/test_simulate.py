@@ -165,8 +165,7 @@ def test_drive_matches_sin_carrier_on_every_sample(baseline_cfg, carrier, k0):
     on = np.repeat(bits.astype(bool), np.diff(edges))
     n = np.arange(n0, n1)
     assert n.size >= 1_000_000
-    expected = np.where(on & (np.sin(chain.omega * n) > 0), chain.on_level, 0.0)
-    assert np.array_equal(x, expected)
+    assert np.array_equal(x, on & (np.sin(chain.omega * n) > 0))
 
 
 @pytest.mark.parametrize("bit_rate", [50.0, 250.0, 1000.0])
@@ -190,7 +189,10 @@ def test_run_line_working_set_is_five_chunk_arrays(baseline_cfg):
     # chunk-sized gain * x and noise sum held about six of them at the peak
     # (3.01 MiB).  One sosfilt call, the rectifier in place and the drive
     # added into the noise draw leave five (2.53-2.61 MiB).  Running the HF
-    # sections in place on the link output frees one more (2.21-2.22 MiB).
+    # sections in place on the link output frees one more (2.21-2.22 MiB), and
+    # a bool switch state (one byte a sample) in place of the float drive
+    # waveform, with the link level added into the draw by one masked add,
+    # frees the drive's (1.78-1.80 MiB).
     cfg = replace(baseline_cfg, tx=replace(baseline_cfg.tx, bit_rate=250.0))
     bits = np.random.default_rng(9).integers(0, 2, 600).astype(np.uint8)
     tracemalloc.start()
@@ -199,7 +201,7 @@ def test_run_line_working_set_is_five_chunk_arrays(baseline_cfg):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.4 * 2 ** 20
+    assert peak < 2.0 * 2 ** 20
 
 
 def test_filter_kernels_load_without_scipy_signal():
@@ -260,11 +262,11 @@ def test_run_line_reraises_failures_and_joins_its_worker(baseline_cfg, monkeypat
 
     couple, calls = _LineChain.couple, []
 
-    def failing_couple(chain, x):
-        calls.append(x.size)
+    def failing_couple(chain, on):
+        calls.append(on.size)
         if len(calls) == 3:
             raise _Fault("third chunk")
-        return couple(chain, x)
+        return couple(chain, on)
 
     monkeypatch.setattr(_LineChain, "couple", failing_couple)
     with pytest.raises(_Fault, match="third chunk"):
@@ -303,9 +305,9 @@ def test_run_line_stops_after_the_chunk_that_exceeds_max_errors(baseline_cfg, mo
 
     couple, calls = _LineChain.couple, []
 
-    def counting_couple(chain, x):
-        calls.append(x.size)
-        return couple(chain, x)
+    def counting_couple(chain, on):
+        calls.append(on.size)
+        return couple(chain, on)
 
     monkeypatch.setattr(_LineChain, "couple", counting_couple)
     before = threading.active_count()
@@ -316,10 +318,10 @@ def test_run_line_stops_after_the_chunk_that_exceeds_max_errors(baseline_cfg, mo
     assert words == full_words[:len(words)]
     assert len(calls) == stop // chunk_bits + 1  # one chunk past the stop, no more
 
-    def failing_couple(chain, x):
+    def failing_couple(chain, on):
         if len(calls) == stop // chunk_bits:
             raise _Fault("chunk in flight at the stop")
-        return counting_couple(chain, x)
+        return counting_couple(chain, on)
 
     calls.clear()
     monkeypatch.setattr(_LineChain, "couple", failing_couple)
@@ -402,8 +404,8 @@ def test_mark_envelope_matches_simulation(baseline_cfg):
     # The closed form should agree with an actual settled idle-carrier run.
     cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, noise_rms=0.0))
     chain = _LineChain(cfg.link, cfg.tx, cfg.rx, noise_seed=0)
-    drive, _, _ = chain.drive(np.ones(10, dtype=np.uint8), 0)
-    env = chain.envelope(chain.filter_hf(chain.couple(drive)))
+    on, _, _ = chain.drive(np.ones(10, dtype=np.uint8), 0)
+    env = chain.envelope(chain.filter_hf(chain.couple(on)))
     settled = float(np.mean(env[len(env) // 2:]))
     assert settled == pytest.approx(mark_envelope(cfg.link, cfg.tx),
                                     rel=0.02)
