@@ -3,8 +3,9 @@
 The link between the drive coil and the pickup coil is reduced to a scalar
 voltage gain (coupling times the tank's magnitude response at the carrier);
 the line chain in iptsim.simulate applies it and adds the channel's white
-Gaussian noise.  Good enough for a narrowband OOK modem; no circuit-level
-integration is attempted.
+Gaussian noise.  So the tank has no dynamics: the OOK drive's DC and
+harmonics cross at the carrier's gain, which makes rate results
+optimistic (ROADMAP item 12).  No circuit-level integration is attempted.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 Subcommands:
   run <config>        scenario -> report on stdout, trace CSV to a file
-  sweep <config>      BER sweep over any setting -> CSV table
+  sweep <config>      BER sweep over a link, tx, rx or usart setting -> CSV table
   maxrate <config>    binary search for the highest usable bit rate
   brg                 baud-rate divisor calculator
 
@@ -94,7 +94,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="BER sweep over one setting")
     p.add_argument("config")
     p.add_argument("--var", required=True,
-                   help="setting key, such as link.gap, or its name after the dot")
+                   help="link/tx/rx/usart key, such as link.gap, or its name after the dot")
     p.add_argument("--values", required=True,
                    help="comma-separated sweep values, read by the key's type")
     p.add_argument("--bits", type=int, default=10_000,

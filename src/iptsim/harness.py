@@ -136,20 +136,27 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
     """
     _check_session_fits(cfg)
     traces: list[TraceRecord] = []
-    frames_sent = frames_delivered = 0
-    bits_sent = bit_errors = 0
+    sent: list[tuple[int, int, bool]] = []  # (payload bits, bit errors, decoded) per frame
     fault_events: list[tuple[float, int]] = []
-    prev_faults = FaultSet(0)
+    faults = FaultSet(0)
     shown: DecodedFrame | None = None
     sessions = 0
+
+    def exchange(frame: bytes, msg_type: int, stream: int) -> DecodedFrame | None:
+        """Send a frame on its seed stream and record it: the decoded msg_type frame, or None."""
+        found, nbits, nerr = _send(cfg, frame, derive_seed(cfg.master_seed, stream))
+        decoded = next((f for f in found if f.msg_type == msg_type), None)
+        sent.append((nbits, nerr, decoded is not None))
+        return decoded
 
     t = 0.0
     while t < cfg.duration_s:
         # The script starts at or before 0 s, so some step is at or before t.
         state = cfg.script[bisect_right(cfg.script, t, key=attrgetter("time_s")) - 1].state
-        faults = classify_faults(state, cfg.thresholds, prev_faults)
-        new_bits = faults.mask & ~prev_faults.mask
-        if faults.mask != prev_faults.mask:
+        prev = faults
+        faults = classify_faults(state, cfg.thresholds, prev)
+        new_bits = faults.mask & ~prev.mask
+        if faults.mask != prev.mask:
             fault_events.append((t, faults.mask))
         traces.extend([
             TraceRecord(t, "temp", state.temp_c, "degC"),
@@ -159,32 +166,16 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
             TraceRecord(t, "fault_mask", float(faults.mask), "bitmask"),
         ])
 
-        frames_sent += 1
-        found, nbits, nerr = _send(cfg, encode_poll(),
-                                   derive_seed(cfg.master_seed, 2 * sessions))
-        bits_sent += nbits
-        bit_errors += nerr
-        poll_ok = any(f.msg_type == MSG_POLL for f in found)
-        traces.append(TraceRecord(t, "poll_delivered", float(poll_ok), "flag"))
-
-        if poll_ok:
+        poll = exchange(encode_poll(), MSG_POLL, 2 * sessions)
+        traces.append(TraceRecord(t, "poll_delivered", float(poll is not None), "flag"))
+        if poll is not None:
             msg_type = MSG_FAULT_ALARM if new_bits else MSG_READING
-            reply = encode_frame(state, faults, msg_type)
-            frames_sent += 1
-            found, nbits, nerr = _send(cfg, reply,
-                                       derive_seed(cfg.master_seed, 2 * sessions + 1))
-            bits_sent += nbits
-            bit_errors += nerr
-            decoded = next((f for f in found if f.msg_type == msg_type), None)
+            reply = exchange(encode_frame(state, faults, msg_type), msg_type, 2 * sessions + 1)
             traces.append(TraceRecord(t, "reply_type", float(msg_type), "msg"))
-            traces.append(TraceRecord(t, "reply_delivered",
-                                      float(decoded is not None), "flag"))
-            frames_delivered += 1  # the poll made it across
-            if decoded is not None:
-                frames_delivered += 1
-                shown = decoded
+            traces.append(TraceRecord(t, "reply_delivered", float(reply is not None), "flag"))
+            if reply is not None:
+                shown = reply
 
-        prev_faults = faults
         sessions += 1
         t = sessions * cfg.poll_interval_s
 
@@ -192,15 +183,18 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
         line1 = line2 = " " * 16
     else:
         line1, line2 = render_display(shown.state, shown.faults)
+    # duration_s > 0, so there is at least one poll, and it carries payload bits.
+    bits_sent = sum(nbits for nbits, _, _ in sent)
+    bit_errors = sum(nerr for _, nerr, _ in sent)
     baud = actual_baud(cfg.usart)
     report = ScenarioReport(
         duration_s=cfg.duration_s,
         sessions=sessions,
-        frames_sent=frames_sent,
-        frames_delivered=frames_delivered,
+        frames_sent=len(sent),
+        frames_delivered=sum(decoded for _, _, decoded in sent),
         bits_sent=bits_sent,
         bit_errors=bit_errors,
-        ber=bit_errors / bits_sent if bits_sent else 0.0,
+        ber=bit_errors / bits_sent,
         fault_events=fault_events,
         display_line1=line1,
         display_line2=line2,
@@ -235,7 +229,8 @@ def ber_sweep(cfg: ScenarioConfig, variable: str, values,
     """Measure BER and frame delivery across a sweep of one setting.
 
     variable is a SETTINGS key or its name after the dot (config.setting_key),
-    and each value is read by the key's type, as in a config file.  Every
+    and each value is read by the key's type, as in a config file.  A sim.*
+    or thresholds.* key would change nothing, so it is a ConfigError.  Every
     value is checked before any point runs; a value the key cannot take, or
     None, is a ConfigError naming the key.  Each point holds every value cfg
     derived, sends back-to-back random reading frames through the full stack
@@ -243,6 +238,9 @@ def ber_sweep(cfg: ScenarioConfig, variable: str, values,
     independent of evaluation order.
     """
     key = setting_key(variable)
+    if key.startswith(("sim.", "thresholds.")):
+        raise ConfigError(f"{key}: cannot be swept; a point holds the values the base "
+                          "derived, seeds from the base and runs no scenario")
     values = [_coerce(key, value) for value in values]
     if None in values:
         raise ConfigError(f"{key}: a sweep value cannot be None")

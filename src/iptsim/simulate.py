@@ -144,11 +144,8 @@ class _LineChain:
         switch state is on, which is gain * drive + noise value for value,
         since the draw is never -0.
         """
-        level = self.gain * self.on_level
-        if self.noise_rms == 0:
-            return np.where(on, level, 0.0)
         y = self.rng.normal(0.0, self.noise_rms, on.size)
-        np.add(y, level, out=y, where=on)
+        np.add(y, self.gain * self.on_level, out=y, where=on)
         return y
 
     def filter_hf(self, y: np.ndarray) -> np.ndarray:
@@ -176,10 +173,10 @@ class _LineChain:
             env, self.cmp_high, self.cmp_low, self.cmp_state)
         return logic
 
-    def transmit(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
-        """Link output for bits [k0, k0+len), and its sample span: the worker's half."""
-        on, n0, n1 = self.drive(bits, k0)
-        return self.couple(on), n0, n1
+    def transmit(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int]:
+        """Link output for bits [k0, k0+len), and its first sample: the worker's half."""
+        on, n0, _ = self.drive(bits, k0)
+        return self.couple(on), n0
 
     def receive(self, y: np.ndarray) -> np.ndarray:
         """Logic levels recovered from a chunk of link output: the caller's half."""
@@ -218,13 +215,13 @@ def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams, noise_seed
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="run_line") as worker:
         ahead = worker.submit(chain.transmit, bits[:chunk_bits], 0)
         for k0 in range(0, bits.size, chunk_bits):
-            y, n0, n1 = ahead.result()
+            y, n0 = ahead.result()
             k1 = min(k0 + chunk_bits, bits.size)
             if k1 < bits.size:
                 ahead = worker.submit(chain.transmit, bits[k1:k1 + chunk_bits], k1)
             logic = chain.receive(y)
             mid_idx = np.rint((np.arange(k0, k1) + 0.5) * chain.spb).astype(np.int64)
-            mids[k0:k1] = logic[np.minimum(mid_idx, n1 - 1) - n0]
+            mids[k0:k1] = logic[mid_idx - n0]
             if usart_rx is not None:
                 # Bits [k0, k1) span exactly x16 grid points 16*k0 .. 16*k1-1.
                 grid = np.arange(16 * k0, 16 * k1)

@@ -265,8 +265,9 @@ def classify_faults(state: MotorState, th: Thresholds, prev: FaultSet) -> FaultS
     """Threshold comparison with hysteresis on the clearing side.
 
     A bit sets as soon as its reading crosses the limit, regardless of the
-    previous mask.  It clears only once the reading retreats past
-    limit*(1 -/+ hysteresis_fraction); in between it holds its prior value.
+    previous mask.  It clears only once the reading retreats past the limit
+    by hysteresis_fraction * |limit|; in between it holds its prior value.
+    The band is relative, so a zero limit has none.
     """
     h = th.hysteresis_fraction
     # Each rule's sign turns its limit into an upper one: a lower limit is
@@ -282,7 +283,8 @@ def classify_faults(state: MotorState, th: Thresholds, prev: FaultSet) -> FaultS
     mask = 0
     for bit, value, limit, sign in rules:
         value, limit = sign * value, sign * limit
-        if value > limit or (prev.mask & bit and value >= limit * (1.0 - sign * h)):
+        held_from = limit * (1.0 - math.copysign(h, limit))  # h * |limit| short of the limit
+        if value > limit or (prev.mask & bit and value >= held_from):
             mask |= bit
     return FaultSet(mask)
 

@@ -149,6 +149,16 @@ def test_sweep_unknown_key_exit_code(cfg_file, capsys):
     assert "'noise'" in capsys.readouterr().err
 
 
+def test_sweep_of_a_key_no_point_reads_exit_code(cfg_file, capsys, monkeypatch):
+    def no_run_line(*args, **kwargs):
+        raise AssertionError("a point ran for a key that no point reads")
+
+    monkeypatch.setattr(harness, "run_line", no_run_line)
+    assert main(["sweep", str(cfg_file), "--var", "snr_db",
+                 "--values", "0,20", "--bits", "1000"]) == 1
+    assert "sim.snr_db: cannot be swept" in capsys.readouterr().err
+
+
 def test_sweep_bad_value_exits_before_any_point(cfg_file, capsys, monkeypatch):
     def no_run_line(*args, **kwargs):
         raise AssertionError("a point ran before every value was checked")

@@ -209,6 +209,12 @@ def _no_run_line(*args, **kwargs):
 @pytest.mark.parametrize("variable,values,key", [
     ("link.noise_rms", [None], "link.noise_rms"),
     ("gap", [0.05, 0.10, "abc"], "link.gap"),
+    # A point holds what the base derived, seeds from the base and runs no
+    # scenario, so no sim.* or thresholds.* key can change it.
+    ("snr_db", [0.0, 20.0], "sim.snr_db"),
+    ("master_seed", [1, 2], "sim.master_seed"),
+    ("sim.duration_s", [1.0, 2.0], "sim.duration_s"),
+    ("thresholds.temp_max_c", [60.0, 80.0], "thresholds.temp_max_c"),
 ])
 def test_sweep_checks_every_value_before_any_point(baseline_cfg, monkeypatch, variable,
                                                    values, key):

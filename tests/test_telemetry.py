@@ -187,18 +187,22 @@ def test_classify_each_fault(state, bit):
 
 
 def test_classify_hysteresis_forbids_chatter():
-    transitions = 0
-    prev = FaultSet(0)
-    was_set = False
-    for i in range(200):
-        temp = TH.temp_max_c * (1.001 if i % 2 == 0 else 0.999)
-        faults = classify_faults(MotorState(temp, 1450, 230, 1.5), TH, prev)
-        now_set = bool(faults.mask & FaultSet.OVERTEMP)
-        if now_set != was_set:
-            transitions += 1
-        was_set = now_set
-        prev = faults
-    assert transitions <= 1
+    # Readings alternate just above and just below the limit.  At a negative
+    # limit the clearing band must still lie below it.
+    for limit in (80.0, -10.0):
+        th = replace(TH, temp_max_c=limit)
+        transitions = 0
+        prev = FaultSet(0)
+        was_set = False
+        for i in range(200):
+            temp = limit + (0.1 if i % 2 == 0 else -0.1)
+            faults = classify_faults(MotorState(temp, 1450, 230, 1.5), th, prev)
+            now_set = bool(faults.mask & FaultSet.OVERTEMP)
+            if now_set != was_set:
+                transitions += 1
+            was_set = now_set
+            prev = faults
+        assert transitions <= 1, f"limit {limit}"
 
 
 def test_classify_clears_past_hysteresis_band():
