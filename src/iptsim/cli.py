@@ -31,8 +31,7 @@ def _cmd_run(args) -> int:
     report, traces = run_scenario(cfg)
     trace_path = args.trace or f"{Path(args.config).stem}_trace.csv"
     _write_text(trace_path, emit_csv(traces))
-    delivered_pct = (100.0 * report.frames_delivered / report.frames_sent
-                     if report.frames_sent else 0.0)
+    delivered_pct = 100.0 * report.frames_delivered / report.frames_sent
     print(f"scenario: {args.config}")
     print(f"sessions: {report.sessions}  frames sent: {report.frames_sent}  "
           f"delivered: {report.frames_delivered} ({delivered_pct:.1f}%)")

@@ -17,7 +17,7 @@ import numpy as np
 from .config import ConfigError, ScenarioConfig, _coerce, build_config, setting_key
 from .seeds import derive_seed
 from .simulate import run_line
-from .telemetry import (DecodedFrame, FaultSet, MotorState, POLL_FRAME_LEN,
+from .telemetry import (DecodedFrame, FaultSet, MotorState, POLL_FRAME_LEN, READING_FIELDS,
                         READING_FRAME_LEN, classify_faults, encode_frame, encode_poll,
                         render_display, scan_frames, MSG_FAULT_ALARM, MSG_POLL, MSG_READING)
 from .usart import UsartRx, UsartTx, actual_baud
@@ -54,6 +54,10 @@ class SweepResult:
 
 @dataclass(frozen=True)
 class MaxRateResult:
+    """Outcome of max_data_rate: rate_bps is the highest rate that passed, and
+    resolution_bps the gap up to the lowest rate that failed, 0 when the
+    carrier limit itself passed."""
+
     rate_bps: int
     resolution_bps: int
 
@@ -87,7 +91,7 @@ def frame_line_bits(frame_bytes: bytes, cfg: ScenarioConfig) -> np.ndarray:
         while not tx.txif:
             bits.append(tx.tick())
         tx.load(b, ninth)
-    while not (tx.txif and tx.trmt):
+    while not tx.trmt:
         bits.append(tx.tick())
     bits.extend([1] * IDLE_TAIL_BITS)
     return np.array(bits, dtype=np.uint8)
@@ -212,14 +216,12 @@ def _point_config(cfg: ScenarioConfig, key: str, value) -> ScenarioConfig:
 
 def _random_reading_frames(n_frames: int, seed: int) -> bytes:
     rng = np.random.default_rng(seed)
+    # Wire values in READING_FIELDS order: -20..120 degC, 0..5000 RPM, 150..260 V, 0..6 A.
+    draws = list(zip(READING_FIELDS, ((-2000, 12001), (0, 5001), (15000, 26001), (0, 6001))))
     out = bytearray()
     for _ in range(n_frames):
-        state = MotorState(
-            temp_c=int(rng.integers(-2000, 12001)) / 100.0,
-            speed_rpm=float(rng.integers(0, 5001)),
-            voltage_v=int(rng.integers(15000, 26001)) / 100.0,
-            current_a=int(rng.integers(0, 6001)) / 1000.0,
-        )
+        state = MotorState(**{name: int(rng.integers(lo, hi)) / scale
+                              for (name, _, scale, _), (lo, hi) in draws})
         out += encode_frame(state, FaultSet(0))
     return bytes(out)
 

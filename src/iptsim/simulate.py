@@ -114,8 +114,8 @@ class _LineChain:
         self.cmp_low = rx.threshold * (1.0 - HYSTERESIS_FRACTION)
         self.rng = np.random.default_rng(noise_seed)
 
-    def drive(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int, int]:
-        """Switch state for bits [k0, k0+len), and its sample span.
+    def drive(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int]:
+        """Switch state for bits [k0, k0+len), and its first sample.
 
         True where the transistor is on, its output on_level below the rail:
         while a 1-bit gates a positive carrier sin(omega * n), whose phase
@@ -135,7 +135,7 @@ class _LineChain:
                     & (near >= n0) & (near < n1)].astype(np.int64)
         positive[near - n0] = np.sin(self.omega * near) > 0.0
         positive &= on
-        return positive, n0, n1
+        return positive, n0
 
     def couple(self, on: np.ndarray) -> np.ndarray:
         """Inductive link: scalar gain at the carrier plus Gaussian noise.
@@ -175,7 +175,7 @@ class _LineChain:
 
     def transmit(self, bits: np.ndarray, k0: int) -> tuple[np.ndarray, int]:
         """Link output for bits [k0, k0+len), and its first sample: the worker's half."""
-        on, n0, _ = self.drive(bits, k0)
+        on, n0 = self.drive(bits, k0)
         return self.couple(on), n0
 
     def receive(self, y: np.ndarray) -> np.ndarray:

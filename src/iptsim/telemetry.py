@@ -12,9 +12,8 @@ Wire format:
     [4..4+N) payload
     [4+N] checksum, chosen so the sum of every frame byte is 0 mod 256
 
-Reading and fault-alarm payloads are 9 bytes, little-endian fixed point:
-temp int16 (centi-degC), speed uint16 (RPM), voltage uint16 (centi-V),
-current uint16 (milli-A), fault bitmask uint8.
+Reading and fault-alarm payloads are 9 bytes, little-endian: the
+READING_FIELDS in fixed point, then the fault bitmask uint8.
 """
 
 from __future__ import annotations
@@ -33,11 +32,21 @@ MSG_READING = 0x01
 MSG_POLL = 0x02
 MSG_FAULT_ALARM = 0x03
 
-READING_PAYLOAD_LEN = 9
-READING_FRAME_LEN = 5 + READING_PAYLOAD_LEN
-POLL_FRAME_LEN = 5
+FRAME_OVERHEAD = 5  # the four header bytes and the checksum
 
-_PAYLOAD_STRUCT = struct.Struct("<hHHHB")
+# The reading payload's fixed-point fields, in wire order:
+# (MotorState field, struct code, wire units per unit, wire field in errors).
+READING_FIELDS = (
+    ("temp_c", "h", 100, "int16 centi-degC"),
+    ("speed_rpm", "H", 1, "uint16 RPM"),
+    ("voltage_v", "H", 100, "uint16 centi-V"),
+    ("current_a", "H", 1000, "uint16 milli-A"),
+)
+_PAYLOAD_STRUCT = struct.Struct("<" + "".join(code for _, code, _, _ in READING_FIELDS) + "B")
+READING_PAYLOAD_LEN = _PAYLOAD_STRUCT.size
+READING_FRAME_LEN = FRAME_OVERHEAD + READING_PAYLOAD_LEN
+POLL_FRAME_LEN = FRAME_OVERHEAD
+_WIRE_LIMITS = [np.iinfo(code) for _, code, _, _ in READING_FIELDS]
 
 
 class FrameError(ValueError):
@@ -166,19 +175,13 @@ def _checksum(body: bytes) -> int:
 
 
 def _pack_reading(state: MotorState, faults: FaultSet) -> bytes:
-    temp = round(state.temp_c * 100)
-    speed = round(state.speed_rpm)
-    volt = round(state.voltage_v * 100)
-    curr = round(state.current_a * 1000)
-    if not -32768 <= temp <= 32767:
-        raise FrameRangeError(f"temp_c {state.temp_c} exceeds int16 centi-degC")
-    if not 0 <= speed <= 65535:
-        raise FrameRangeError(f"speed_rpm {state.speed_rpm} exceeds uint16 RPM")
-    if not 0 <= volt <= 65535:
-        raise FrameRangeError(f"voltage_v {state.voltage_v} exceeds uint16 centi-V")
-    if not 0 <= curr <= 65535:
-        raise FrameRangeError(f"current_a {state.current_a} exceeds uint16 milli-A")
-    return _PAYLOAD_STRUCT.pack(temp, speed, volt, curr, faults.mask)
+    raw = []
+    for (name, _, scale, wire), limits in zip(READING_FIELDS, _WIRE_LIMITS):
+        value = getattr(state, name)
+        raw.append(round(value * scale))
+        if not limits.min <= raw[-1] <= limits.max:
+            raise FrameRangeError(f"{name} {value} exceeds {wire}")
+    return _PAYLOAD_STRUCT.pack(*raw, faults.mask)
 
 
 def build_frame(msg_type: int, payload: bytes = b"") -> bytes:
@@ -209,15 +212,15 @@ def decode_frame(data: bytes) -> DecodedFrame:
     or FrameFieldError; each failure mode is a distinct class.
     """
     data = bytes(data)
-    if len(data) < POLL_FRAME_LEN:
+    if len(data) < FRAME_OVERHEAD:
         raise BadLengthError(f"frame of {len(data)} bytes is shorter than the header")
     if data[0] != SOF:
         raise BadSofError(f"bad start byte 0x{data[0]:02X}")
     if data[1] != VERSION:
         raise BadVersionError(f"unsupported version 0x{data[1]:02X}")
-    n = data[3]
-    if len(data) != 5 + n:
-        raise BadLengthError(f"length byte says {n} payload bytes, frame has {len(data) - 5}")
+    n, got = data[3], len(data) - FRAME_OVERHEAD
+    if got != n:
+        raise BadLengthError(f"length byte says {n} payload bytes, frame has {got}")
     if sum(data) % 256 != 0:
         raise BadChecksumError("frame bytes do not sum to 0 mod 256")
     msg_type = data[2]
@@ -225,12 +228,13 @@ def decode_frame(data: bytes) -> DecodedFrame:
     if msg_type in (MSG_READING, MSG_FAULT_ALARM):
         if n != READING_PAYLOAD_LEN:
             raise BadLengthError(f"reading payload must be {READING_PAYLOAD_LEN} bytes, got {n}")
-        temp, speed, volt, curr, mask = _PAYLOAD_STRUCT.unpack(payload)
+        *raw, mask = _PAYLOAD_STRUCT.unpack(payload)
         try:
             faults = FaultSet(mask)
         except ValueError as exc:
             raise FrameFieldError(str(exc)) from exc
-        state = MotorState(temp / 100.0, float(speed), volt / 100.0, curr / 1000.0)
+        state = MotorState(**{name: value / scale
+                              for value, (name, _, scale, _) in zip(raw, READING_FIELDS)})
         return DecodedFrame(msg_type, state, faults)
     if msg_type == MSG_POLL:
         if n != 0:
@@ -247,9 +251,9 @@ def scan_frames(data: bytes) -> list[DecodedFrame]:
     """
     frames: list[DecodedFrame] = []
     i = 0
-    while i + POLL_FRAME_LEN <= len(data):
+    while i + FRAME_OVERHEAD <= len(data):
         if data[i] == SOF:
-            end = i + 5 + data[i + 3]
+            end = i + FRAME_OVERHEAD + data[i + 3]
             if end <= len(data):
                 try:
                     frames.append(decode_frame(data[i:end]))

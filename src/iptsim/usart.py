@@ -134,44 +134,36 @@ class UsartTx:
     """Double-buffered transmitter: TXREG holds the next frame, the TSR shifts
     out the bits of the current one.
 
-    txif mirrors "TXREG empty", trmt mirrors "TSR empty".  A load into an
-    idle transmitter transfers straight through to the TSR; a second quick
-    load parks in TXREG so frames go out back-to-back.
+    One bit queue holds the TSR's bits, then TXREG's.  Every frame is
+    frame_bits long, so TXREG holds a byte exactly when the queue holds more
+    than one frame: txif ("TXREG empty") is a queue of at most frame_bits,
+    and trmt ("TSR empty") an empty one.  A load into an idle transmitter
+    goes straight to the TSR; a second quick load waits behind it, so frames
+    go out back-to-back.
     """
 
     def __init__(self, cfg: UsartConfig):
         self.cfg = cfg
-        self._txreg: list[int] | None = None  # the frame bits of the loaded byte
-        self._tsr: deque[int] = deque()
+        self._frame_bits = cfg.frame_bits
+        self._bits: deque[int] = deque()
 
     @property
     def txif(self) -> bool:
-        return self._txreg is None
+        return len(self._bits) <= self._frame_bits
 
     @property
     def trmt(self) -> bool:
-        return not self._tsr
+        return not self._bits
 
     def load(self, byte: int, ninth: int | None = None) -> None:
         """Write TXREG.  Raises TxBufferFullError if it still holds data."""
-        if self._txreg is not None:
+        if not self.txif:
             raise TxBufferFullError("TXREG already holds an unsent byte")
-        frame = frame_encode(byte, ninth, self.cfg)
-        if self._tsr:
-            self._txreg = frame
-        else:
-            self._tsr.extend(frame)
+        self._bits.extend(frame_encode(byte, ninth, self.cfg))
 
     def tick(self) -> int:
         """Advance one bit period and return the line level (idle is 1)."""
-        if not self._tsr:
-            return 1
-        level = self._tsr.popleft()
-        if not self._tsr and self._txreg is not None:
-            # STOP bit just went out; chain the buffered byte.
-            self._tsr.extend(self._txreg)
-            self._txreg = None
-        return level
+        return self._bits.popleft() if self._bits else 1
 
 
 class UsartRx:

@@ -158,7 +158,7 @@ def test_c5_modem_analytic_suite(baseline, tx_params, rx_params):
         ic = float(rng.uniform(0.0, vcc / rc))
         p = replace(tx_params, vcc=vcc, rc_load=rc, ic_on=ic)
         chain = _LineChain(baseline.link, p, rx_params, 0)
-        on, _, _ = chain.drive(np.array([1], dtype=np.uint8), 0)
+        on, _ = chain.drive(np.array([1], dtype=np.uint8), 0)
         assert on[1] and vcc + chain.on_level == vcc - ic * rc  # carrier positive: switched on
         assert not on[0]                                         # sin(0) = 0: cut off, vcc
 

@@ -35,7 +35,7 @@ def _steady_amplitude(x, tail=0.5):
 
 def _drive(bits, tx, rx, k0=0):
     """The drive stage's switch state: True where the transistor is on."""
-    on, _, _ = _chain(tx, rx).drive(np.asarray(bits, dtype=np.uint8), k0)
+    on, _ = _chain(tx, rx).drive(np.asarray(bits, dtype=np.uint8), k0)
     return on
 
 

@@ -160,10 +160,10 @@ def test_drive_matches_sin_carrier_on_every_sample(baseline_cfg, carrier, k0):
     chain = _LineChain(baseline_cfg.link, tx, baseline_cfg.rx, 0)
     bits = np.random.default_rng(5).integers(0, 2, 300).astype(np.uint8)
     bits[:100] = 1
-    x, n0, n1 = chain.drive(bits, k0)
+    x, n0 = chain.drive(bits, k0)
     edges = np.rint((np.arange(bits.size + 1) + k0) * chain.spb).astype(np.int64)
     on = np.repeat(bits.astype(bool), np.diff(edges))
-    n = np.arange(n0, n1)
+    n = np.arange(n0, n0 + x.size)
     assert n.size >= 1_000_000
     assert np.array_equal(x, on & (np.sin(chain.omega * n) > 0))
 
@@ -404,7 +404,7 @@ def test_mark_envelope_matches_simulation(baseline_cfg):
     # The closed form should agree with an actual settled idle-carrier run.
     cfg = replace(baseline_cfg, link=replace(baseline_cfg.link, noise_rms=0.0))
     chain = _LineChain(cfg.link, cfg.tx, cfg.rx, noise_seed=0)
-    on, _, _ = chain.drive(np.ones(10, dtype=np.uint8), 0)
+    on, _ = chain.drive(np.ones(10, dtype=np.uint8), 0)
     env = chain.envelope(chain.filter_hf(chain.couple(on)))
     settled = float(np.mean(env[len(env) // 2:]))
     assert settled == pytest.approx(mark_envelope(cfg.link, cfg.tx),

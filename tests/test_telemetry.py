@@ -129,6 +129,26 @@ def test_encode_range_errors(state):
         encode_frame(state, FaultSet(0))
 
 
+# Each field's last in-range value at either end of its wire integer, the
+# value one wire unit past it, and the message that value raises.  A negative
+# speed is refused by MotorState itself.
+@pytest.mark.parametrize("field, last, past, message", [
+    ("temp_c", 327.67, 327.68, "temp_c 327.68 exceeds int16 centi-degC"),
+    ("temp_c", -327.68, -327.69, "temp_c -327.69 exceeds int16 centi-degC"),
+    ("speed_rpm", 65535.0, 65536.0, "speed_rpm 65536.0 exceeds uint16 RPM"),
+    ("voltage_v", 655.35, 655.36, "voltage_v 655.36 exceeds uint16 centi-V"),
+    ("voltage_v", 0.0, -0.01, "voltage_v -0.01 exceeds uint16 centi-V"),
+    ("current_a", 65.535, 65.536, "current_a 65.536 exceeds uint16 milli-A"),
+    ("current_a", 0.0, -0.001, "current_a -0.001 exceeds uint16 milli-A"),
+])
+def test_encode_field_limits_are_exact(field, last, past, message):
+    state = replace(NOMINAL, **{field: last})
+    assert decode_frame(encode_frame(state, FaultSet(0))).state == state
+    with pytest.raises(FrameRangeError) as exc:
+        encode_frame(replace(NOMINAL, **{field: past}), FaultSet(0))
+    assert str(exc.value) == message
+
+
 def test_scan_frames_resyncs_after_garbage():
     good = encode_frame(NOMINAL, FaultSet(0))
     stream = b"\x12\x34" + good + b"\xaa\x99" + encode_poll() + good[:-4]
