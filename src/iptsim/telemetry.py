@@ -46,7 +46,7 @@ _PAYLOAD_STRUCT = struct.Struct("<" + "".join(code for _, code, _, _ in READING_
 READING_PAYLOAD_LEN = _PAYLOAD_STRUCT.size
 READING_FRAME_LEN = FRAME_OVERHEAD + READING_PAYLOAD_LEN
 POLL_FRAME_LEN = FRAME_OVERHEAD
-_WIRE_LIMITS = [np.iinfo(code) for _, code, _, _ in READING_FIELDS]
+_WIRE_RANGES = [(np.iinfo(code).min, np.iinfo(code).max) for _, code, _, _ in READING_FIELDS]
 
 
 class FrameError(ValueError):
@@ -176,10 +176,10 @@ def _checksum(body: bytes) -> int:
 
 def _pack_reading(state: MotorState, faults: FaultSet) -> bytes:
     raw = []
-    for (name, _, scale, wire), limits in zip(READING_FIELDS, _WIRE_LIMITS):
+    for (name, _, scale, wire), (lo, hi) in zip(READING_FIELDS, _WIRE_RANGES):
         value = getattr(state, name)
         raw.append(round(value * scale))
-        if not limits.min <= raw[-1] <= limits.max:
+        if not lo <= raw[-1] <= hi:
             raise FrameRangeError(f"{name} {value} exceeds {wire}")
     return _PAYLOAD_STRUCT.pack(*raw, faults.mask)
 
