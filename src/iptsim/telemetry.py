@@ -213,7 +213,7 @@ def decode_frame(data: bytes) -> DecodedFrame:
     """
     data = bytes(data)
     if len(data) < FRAME_OVERHEAD:
-        raise BadLengthError(f"frame of {len(data)} bytes is shorter than the header")
+        raise BadLengthError(f"frame of {len(data)} bytes is shorter than header plus checksum")
     if data[0] != SOF:
         raise BadSofError(f"bad start byte 0x{data[0]:02X}")
     if data[1] != VERSION:

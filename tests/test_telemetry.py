@@ -83,6 +83,10 @@ def test_decode_truncated_frame():
     frame = encode_frame(NOMINAL, FaultSet(0))
     with pytest.raises(BadLengthError):
         decode_frame(frame[:8])
+    # Four bytes hold the whole header, but not the checksum after it.
+    with pytest.raises(BadLengthError,
+                       match="^frame of 4 bytes is shorter than header plus checksum$"):
+        decode_frame(frame[:4])
 
 
 def test_decode_bad_sof():
