@@ -3,7 +3,8 @@
 Files use `section.key = value` lines with `#` comments.  Units are
 canonical SI throughout: Hz, m, V, A, s.  Scripted readings use
 `script.N = <time_s> <temp_c> <speed_rpm> <voltage_v> <current_a>`, checked
-as they are read; the first starts at or before 0 s.
+as they are read, each reading against its frame's wire fields too; the
+first starts at or before 0 s.
 
 SETTINGS names every key, its type and its default.  A key's section and
 name say where it goes: build_config fills each section's one parameter
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field, fields
 
 from .channel import LinkParams, tuned_c_tank, voltage_gain
 from .modem import RxParams, TxParams
-from .telemetry import MotorState, Thresholds
+from .telemetry import FaultSet, MotorState, Thresholds, encode_frame
 from .usart import SpbrgRangeError, UsartConfig, brg_divisor
 
 
@@ -50,6 +51,7 @@ class ScriptStep:
     def __post_init__(self):
         if not math.isfinite(self.time_s):
             raise ValueError(f"time_s must be finite, got {self.time_s}")
+        encode_frame(self.state, FaultSet(0))  # FrameRangeError unless a frame carries it
 
 
 @dataclass(frozen=True)
@@ -144,11 +146,11 @@ THRESHOLD_ENVELOPE_FRACTION = 0.3
 def mark_envelope(link: LinkParams, tx: TxParams) -> float:
     """Settled envelope level while the carrier is on.
 
-    The rectified drive is a unipolar square of swing ic_on*rc_load at 50%
-    duty, so after the unity-DC-gain filters the envelope sits at half the
+    The rectified drive is a unipolar square of swing tx.swing at 50% duty,
+    so after the unity-DC-gain filters the envelope sits at half the
     received swing (the drive swing times the link's voltage gain).
     """
-    return 0.5 * tx.ic_on * tx.rc_load * voltage_gain(link, tx.carrier_freq)
+    return 0.5 * tx.swing * voltage_gain(link, tx.carrier_freq)
 
 
 def noise_rms_for_snr(link: LinkParams, tx: TxParams, snr_db: float) -> float:

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 
 import numpy as np
 
 from .config import ConfigError, ScenarioConfig, _coerce, build_config, setting_key
+from .modem import CARRIER_CYCLES_PER_BIT
 from .seeds import derive_seed
 from .simulate import run_line
 from .telemetry import (DecodedFrame, FaultSet, MotorState, POLL_FRAME_LEN, READING_FIELDS,
@@ -121,14 +122,6 @@ def session_airtime_s(cfg: ScenarioConfig) -> float:
     return (poll_bits + reply_bits) / cfg.tx.bit_rate
 
 
-def _check_session_fits(cfg: ScenarioConfig) -> None:
-    airtime = session_airtime_s(cfg)
-    if airtime > cfg.poll_interval_s:
-        raise ConfigError(
-            f"sim.poll_interval_s: a poll/reply session takes {airtime:.3f}s at "
-            f"{cfg.tx.bit_rate} bit/s, longer than the {cfg.poll_interval_s}s interval")
-
-
 def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]]:
     """Simulate poll/reply sessions for the configured duration.
 
@@ -138,7 +131,11 @@ def run_scenario(cfg: ScenarioConfig) -> tuple[ScenarioReport, list[TraceRecord]
     bit-error totals plus the final rendered display.  A session that does
     not fit the poll interval is a ConfigError.
     """
-    _check_session_fits(cfg)
+    airtime = session_airtime_s(cfg)
+    if airtime > cfg.poll_interval_s:
+        raise ConfigError(
+            f"sim.poll_interval_s: a poll/reply session takes {airtime:.3f}s at "
+            f"{cfg.tx.bit_rate} bit/s, longer than the {cfg.poll_interval_s}s interval")
     traces: list[TraceRecord] = []
     sent: list[tuple[int, int, bool]] = []  # (payload bits, bit errors, decoded) per frame
     fault_events: list[tuple[float, int]] = []
@@ -250,13 +247,13 @@ def ber_sweep(cfg: ScenarioConfig, variable: str, values,
         raise ValueError("sweep needs at least one value")
     if bits_per_point < 1000:
         raise ValueError("bits_per_point must be at least 1000")
+    points = [_point_config(cfg, key, value) for value in values]
     bits_per_frame = READING_FRAME_LEN * cfg.usart.frame_bits
     n_frames = math.ceil(bits_per_point / bits_per_frame)
     results = []
-    for index, value in enumerate(values):
+    for index, (value, point) in enumerate(zip(values, points)):
         seed = derive_seed(cfg.master_seed, index)
         payload = _random_reading_frames(n_frames, derive_seed(seed, 1))
-        point = _point_config(cfg, key, value)
         found, bits, errors = _send(point, payload, derive_seed(seed, 2))
         delivered = sum(1 for f in found if f.msg_type in (MSG_READING, MSG_FAULT_ALARM))
         results.append(SweepResult(
@@ -297,7 +294,7 @@ def max_data_rate(cfg: ScenarioConfig, ber_ceiling: float,
     """Largest bit rate whose measured BER stays at or below the ceiling.
 
     Binary search over integer bit rates between min_rate and the carrier
-    limit (carrier must stay at least 10x the bit rate).  A probe of
+    limit, carrier_freq // CARRIER_CYCLES_PER_BIT.  A probe of
     bits_per_probe random bits passes with at most
     _error_budget(ber_ceiling, bits_per_probe) errors.  It stops at the end of
     the chunk that exceeds that budget, since it has then failed whatever the
@@ -317,7 +314,7 @@ def max_data_rate(cfg: ScenarioConfig, ber_ceiling: float,
     if min_rate < 1:
         raise ValueError(f"min_rate must be at least 1 bit/s, got {min_rate}")
     budget = _error_budget(ber_ceiling, bits_per_probe)
-    hi = int(cfg.tx.carrier_freq // 10)
+    hi = int(cfg.tx.carrier_freq // CARRIER_CYCLES_PER_BIT)
     lo = lowest = int(min_rate)
     if lo > hi:
         raise NoFeasibleRateError(f"minimum rate {lo} exceeds the carrier limit {hi}")
@@ -344,27 +341,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-TRACE_HEADER = "time_s,stage,value,unit"
-SWEEP_HEADER = "var,bits,errors,ber,frames_sent,frames_delivered"
+CSV_HEADERS = {TraceRecord: "time_s,stage,value,unit",
+               SweepResult: "var,bits,errors,ber,frames_sent,frames_delivered"}
 
 
 def emit_csv(records) -> str:
     """Render trace records or sweep results as CSV text.
 
-    The record type decides the layout, and an empty list emits the trace
-    header alone.  Column order is fixed; floats use nine significant digits;
-    lines end with LF.
+    The record type picks the header, and an empty list emits the trace
+    header alone.  A row is the record's dataclass fields in order, each
+    through _fmt: floats use nine significant digits.  Lines end with LF.
     """
     records = list(records)
-    if not records or isinstance(records[0], TraceRecord):
-        lines = [TRACE_HEADER]
-        for r in records:
-            lines.append(f"{_fmt(r.time_s)},{r.stage},{_fmt(r.value)},{r.unit}")
-    elif isinstance(records[0], SweepResult):
-        lines = [SWEEP_HEADER]
-        for r in records:
-            lines.append(f"{_fmt(r.var)},{r.bits_sent},{r.bit_errors},"
-                         f"{_fmt(r.ber)},{r.frames_sent},{r.frames_delivered}")
-    else:
-        raise TypeError(f"cannot infer CSV layout for {type(records[0]).__name__}")
+    kind = type(records[0]) if records else TraceRecord
+    if kind not in CSV_HEADERS:
+        raise TypeError(f"cannot infer CSV layout for {kind.__name__}")
+    row = attrgetter(*(f.name for f in fields(kind)))
+    lines = [CSV_HEADERS[kind]] + [",".join(map(_fmt, row(r))) for r in records]
     return "\n".join(lines) + "\n"

@@ -16,6 +16,7 @@ import numpy as np
 # Comparator switching points sit +/-10% around the nominal threshold so a
 # noisy envelope cannot chatter the logic output.
 HYSTERESIS_FRACTION = 0.10
+CARRIER_CYCLES_PER_BIT = 10  # the fewest carrier cycles in one bit period
 
 
 @dataclass(frozen=True)
@@ -37,10 +38,15 @@ class TxParams:
             raise ValueError("ic_on must be finite and non-negative")
         if self.sample_rate < 20 * self.carrier_freq:
             raise ValueError("sample_rate must be at least 20x the carrier")
-        if self.carrier_freq < 10 * self.bit_rate:
-            raise ValueError("carrier_freq must be at least 10x the bit rate")
-        if self.vcc - self.ic_on * self.rc_load < 0:
+        if self.carrier_freq < CARRIER_CYCLES_PER_BIT * self.bit_rate:
+            raise ValueError(f"carrier_freq must be at least {CARRIER_CYCLES_PER_BIT}x "
+                             "the bit rate")
+        if self.vcc - self.swing < 0:
             raise ValueError("vcc must be at least the saturated drop ic_on*rc_load")
+
+    @property
+    def swing(self) -> float:
+        return self.ic_on * self.rc_load  # V, how far the on transistor pulls below vcc
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ import scipy
 from .channel import LinkParams, voltage_gain
 from .modem import (HYSTERESIS_FRACTION, RxParams, TxParams, hysteresis_compare,
                     lowpass_coeffs, smoothing_coeffs)
-from .usart import UsartRx
+from .usart import OVERSAMPLING, UsartRx
 
 _CHUNK_SAMPLES = 1 << 16
 # The computed zero crossings m * half_cycle and phases omega * n are off by
@@ -97,10 +97,10 @@ class _LineChain:
 
     def __init__(self, link: LinkParams, tx: TxParams, rx: RxParams, noise_seed: int):
         self.spb = tx.sample_rate / tx.bit_rate
-        self.sub_stride = self.spb / 16.0
+        self.sub_stride = self.spb / OVERSAMPLING
         self.gain = voltage_gain(link, tx.carrier_freq)
         self.noise_rms = link.noise_rms
-        self.on_level = -(tx.ic_on * tx.rc_load)  # drive minus the static rail
+        self.on_level = -tx.swing  # drive minus the static rail
         self.omega = 2.0 * np.pi * tx.carrier_freq / tx.sample_rate
         self.half_cycle = tx.sample_rate / (2.0 * tx.carrier_freq)  # samples
         # Each HF section is a second-order row [b0, 0, 0, 1, a1, 0] of one sosfilt.
@@ -223,8 +223,8 @@ def run_line(line_bits, link: LinkParams, tx: TxParams, rx: RxParams, noise_seed
             mid_idx = np.rint((np.arange(k0, k1) + 0.5) * chain.spb).astype(np.int64)
             mids[k0:k1] = logic[mid_idx - n0]
             if usart_rx is not None:
-                # Bits [k0, k1) span exactly x16 grid points 16*k0 .. 16*k1-1.
-                grid = np.arange(16 * k0, 16 * k1)
+                # Bits [k0, k1) span exactly grid points OVERSAMPLING*k0 .. OVERSAMPLING*k1-1.
+                grid = np.arange(OVERSAMPLING * k0, OVERSAMPLING * k1)
                 sub_idx = np.rint(grid * chain.sub_stride).astype(np.int64)
                 for level in logic[sub_idx - n0].tolist():
                     usart_rx.sample(level)

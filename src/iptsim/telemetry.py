@@ -89,10 +89,9 @@ class MotorState:
     def __post_init__(self):
         if self.speed_rpm < 0:
             raise ValueError("speed_rpm must be non-negative")
-        for name in ("temp_c", "speed_rpm", "voltage_v", "current_a"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} must be finite")
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite")
 
 
 @dataclass(frozen=True)
@@ -169,11 +168,6 @@ class DecodedFrame:
     faults: FaultSet | None = None
 
 
-def _checksum(body: bytes) -> int:
-    """Byte that makes the total frame sum 0 mod 256."""
-    return (-sum(body)) & 0xFF
-
-
 def _pack_reading(state: MotorState, faults: FaultSet) -> bytes:
     raw = []
     for (name, _, scale, wire), (lo, hi) in zip(READING_FIELDS, _WIRE_RANGES):
@@ -189,7 +183,7 @@ def build_frame(msg_type: int, payload: bytes = b"") -> bytes:
     if len(payload) > 255:
         raise FrameRangeError("payload exceeds one length byte")
     body = bytes([SOF, VERSION, msg_type, len(payload)]) + payload
-    return body + bytes([_checksum(body)])
+    return body + bytes([-sum(body) & 0xFF])  # the frame then sums to 0 mod 256
 
 
 def encode_frame(state: MotorState, faults: FaultSet,

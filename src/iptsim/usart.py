@@ -17,6 +17,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import NamedTuple
 
+OVERSAMPLING = 16  # receiver samples per bit; UsartRx.sample's & 15 and >> 4 assume 16
+
 
 class UsartError(Exception):
     """Base class for USART usage errors."""
@@ -185,7 +187,7 @@ class UsartRx:
         self._prev: int | None = None
         self._sub: int | None = None  # sub-samples since the START edge; None while hunting
         self._shift = 0
-        self._stop_sub = 8 + 16 * (cfg.data_bits + 1)
+        self._stop_sub = 8 + OVERSAMPLING * (cfg.data_bits + 1)
 
     @property
     def rcif(self) -> bool:

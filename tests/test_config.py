@@ -9,7 +9,7 @@ from iptsim.config import (_DERIVED, SETTINGS, ConfigError, ScenarioConfig, Scri
                            with_settings)
 from iptsim.channel import LinkParams, resonant_frequency, tank_gain
 from iptsim.modem import RxParams, TxParams
-from iptsim.telemetry import MotorState, Thresholds
+from iptsim.telemetry import FrameRangeError, MotorState, Thresholds
 from iptsim.usart import UsartConfig
 from iptsim.harness import _point_config, run_scenario
 
@@ -165,6 +165,23 @@ def test_script_reading_refused_by_motor_state_is_a_config_error(tmp_path, speed
         load_config(str(path))
     with pytest.raises(ValueError, match="^speed_rpm must be"):
         ScriptStep(0, MotorState(25, float(speed), 230, 1.5))
+
+
+@pytest.mark.parametrize("reading,message", [
+    ("400 1450 230 1.5", "temp_c 400.0 exceeds int16 centi-degC"),
+    ("25 70000 230 1.5", "speed_rpm 70000.0 exceeds uint16 RPM"),
+    ("25 1450 -230 1.5", "voltage_v -230.0 exceeds uint16 centi-V"),
+    ("25 1450 230 66", "current_a 66.0 exceeds uint16 milli-A"),
+])
+def test_script_reading_its_frame_cannot_carry_is_a_config_error(tmp_path, reading, message):
+    # Refused when the config is built: at run time only a delivered poll
+    # would encode it, so whether the config ran depended on the noise.
+    path = tmp_path / "scenario.cfg"
+    path.write_text(f"script.0 = 0 {reading}\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"^script\.0: {message}$"):
+        load_config(str(path))
+    with pytest.raises(FrameRangeError, match=rf"^{message}$"):
+        ScriptStep(0, MotorState(*(float(v) for v in reading.split())))
 
 
 @pytest.mark.parametrize("line,message", [

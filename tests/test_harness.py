@@ -215,6 +215,11 @@ def _no_run_line(*args, **kwargs):
     ("master_seed", [1, 2], "sim.master_seed"),
     ("sim.duration_s", [1.0, 2.0], "sim.duration_s"),
     ("thresholds.temp_max_c", [60.0, 80.0], "thresholds.temp_max_c"),
+    # Values of the key's type that a point's parameter objects refuse, after
+    # a value that runs: every point's config is built before the first runs.
+    ("gap", [0.05, -0.01], "link.gap must be finite and non-negative"),
+    ("rx.envelope_order", [1, 4], "rx.envelope_order must be 1, 2, or 3"),
+    ("tx.bit_rate", [250, 2000], "tx.carrier_freq must be at least 10x the bit rate"),
 ])
 def test_sweep_checks_every_value_before_any_point(baseline_cfg, monkeypatch, variable,
                                                    values, key):
@@ -369,6 +374,18 @@ def test_max_data_rate_failing_floor_does_not_decide(baseline_cfg, monkeypatch):
     probed = _stub_probes(monkeypatch, lambda rate: 50 < rate <= 400)
     assert max_data_rate(baseline_cfg, 1e-3) == with_floor == MaxRateResult(398, 4)
     assert 50 not in probed
+
+
+def test_max_data_rate_first_probe_is_the_carrier_limit(monkeypatch):
+    # The limit is carrier_freq // 10: 1234 bit/s at a 12 345 Hz carrier, a
+    # rate TxParams accepts, while 1235 bit/s is refused.
+    cfg = build_config({"tx.carrier_freq": 12_345.0})
+    probed = _stub_probes(monkeypatch, lambda rate: True)
+    assert max_data_rate(cfg, 1e-3) == MaxRateResult(1234, 0)
+    assert probed == [1234]
+    assert _point_config(cfg, "tx.bit_rate", 1234).tx.bit_rate == 1234
+    with pytest.raises(ConfigError, match="^tx.carrier_freq must be at least 10x the bit rate$"):
+        _point_config(cfg, "tx.bit_rate", 1235)
 
 
 def test_max_data_rate_probes_the_floor_last_when_nothing_passes(baseline_cfg,
