@@ -349,13 +349,18 @@ def emit_csv(records) -> str:
     """Render trace records or sweep results as CSV text.
 
     The record type picks the header, and an empty list emits the trace
-    header alone.  A row is the record's dataclass fields in order, each
-    through _fmt: floats use nine significant digits.  Lines end with LF.
+    header alone; a type with no header, or a record whose type is not the
+    first record's, is a TypeError.  A row is the record's dataclass fields
+    in order, each through _fmt: floats use nine significant digits.  Lines
+    end with LF.
     """
     records = list(records)
     kind = type(records[0]) if records else TraceRecord
     if kind not in CSV_HEADERS:
         raise TypeError(f"cannot infer CSV layout for {kind.__name__}")
+    for r in records:
+        if type(r) is not kind:
+            raise TypeError(f"cannot mix {type(r).__name__} into a {kind.__name__} CSV")
     row = attrgetter(*(f.name for f in fields(kind)))
     lines = [CSV_HEADERS[kind]] + [",".join(map(_fmt, row(r))) for r in records]
     return "\n".join(lines) + "\n"

@@ -1,8 +1,7 @@
 """Motor telemetry application layer.
 
 Frame codec with a byte-exact wire format, threshold-based fault classifier
-with hysteresis, an eddy-current proximity sensor model feeding a tooth
-counting tachometer, and a 2x16 character display renderer.
+with hysteresis, and a 2x16 character display renderer.
 
 Wire format:
     [0] 0xAA start of frame
@@ -19,7 +18,6 @@ READING_FIELDS in fixed point, then the fault bitmask uint8.
 from __future__ import annotations
 
 import math
-import numbers
 import struct
 from dataclasses import dataclass, fields
 
@@ -139,24 +137,6 @@ class Thresholds:
             raise ValueError("volt_max_v must exceed volt_min_v")
         if not 0 < self.hysteresis_fraction < 0.5:
             raise ValueError("hysteresis_fraction must be in (0, 0.5)")
-
-
-@dataclass(frozen=True)
-class ProximityParams:
-    """Inductive proximity switch of the eddy-current-killed-oscillator kind."""
-
-    sensing_range: float         # m
-    hysteresis: float            # m, width of the switching band
-    repeatability_sigma: float   # m, per-crossing jitter of the switch point
-    rng_seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.sensing_range < math.inf:
-            raise ValueError("sensing_range must be finite and positive")
-        if not 0.03e-3 <= self.hysteresis <= 3e-3:
-            raise ValueError("inductive sensor hysteresis must be 0.03mm..3mm")
-        if not 0 <= self.repeatability_sigma <= 0.01e-3:
-            raise ValueError("repeatability_sigma must be 0..0.01mm")
 
 
 @dataclass(frozen=True)
@@ -285,61 +265,6 @@ def classify_faults(state: MotorState, th: Thresholds, prev: FaultSet) -> FaultS
         if value > limit or (prev.mask & bit and value >= held_from):
             mask |= bit
     return FaultSet(mask)
-
-
-def proximity_pulses(distance, p: ProximityParams) -> np.ndarray:
-    """Switch output of the proximity sensor against a target distance trace.
-
-    distance is a sampled trace of the target distance in meters.  Output is 1
-    while the target sits inside the sensing range (oscillator killed).
-    Switching uses a hysteresis band of width p.hysteresis centred on the
-    range, and every completed switch re-draws a Gaussian offset of the
-    effective switch distance (seeded, sigma = repeatability_sigma).
-    """
-    d = np.asarray(distance, dtype=np.float64)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("distance must be a non-empty one-dimensional array")
-    if not np.all(np.isfinite(d)):
-        raise ValueError("distance samples must be finite (no NaN or infinity)")
-    rng = np.random.default_rng(p.rng_seed)
-    half = p.hysteresis / 2.0
-    out = np.zeros(d.size, dtype=np.uint8)
-    detected = False
-    offset = rng.normal(0.0, p.repeatability_sigma)
-    for i in range(d.size):
-        if detected:
-            if d[i] > p.sensing_range + half + offset:
-                detected = False
-                offset = rng.normal(0.0, p.repeatability_sigma)
-        else:
-            if d[i] < p.sensing_range - half + offset:
-                detected = True
-                offset = rng.normal(0.0, p.repeatability_sigma)
-        out[i] = 1 if detected else 0
-    return out
-
-
-def speed_from_pulses(pulses, sample_rate: float, teeth: int,
-                      window_s: float) -> float:
-    """Tooth-counting tachometer: RPM from rising edges in a time window.
-
-    RPM = (rising edges in the last window_s) / teeth * 60 / window_s.
-    """
-    if not (isinstance(teeth, numbers.Integral) and teeth >= 1):
-        raise ValueError(f"teeth must be an integer of at least 1, got {teeth!r}")
-    for name, value in (("sample_rate", sample_rate), ("window_s", window_s)):
-        if not 0 < value < math.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value!r}")
-    if window_s * sample_rate < 1:
-        raise ValueError("window must cover at least one sample")
-    pulses = np.asarray(pulses)
-    n = int(round(window_s * sample_rate))
-    if n > pulses.size:
-        raise ValueError(f"window_s {window_s} spans {n} samples, "
-                         f"longer than the {pulses.size}-sample trace")
-    seg = pulses[-n:]
-    edges = int(np.count_nonzero((seg[1:] == 1) & (seg[:-1] == 0)))
-    return edges / teeth * 60.0 / window_s
 
 
 def render_display(state: MotorState, faults: FaultSet) -> tuple[str, str]:

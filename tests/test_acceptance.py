@@ -18,9 +18,8 @@ from iptsim.config import build_config, with_settings
 from iptsim.harness import ber_sweep, emit_csv, max_data_rate, run_scenario
 from iptsim.modem import lowpass_coeffs
 from iptsim.simulate import _LineChain, run_line
-from iptsim.telemetry import (FaultSet, FrameError, MotorState, ProximityParams,
-                              Thresholds, classify_faults, decode_frame,
-                              encode_frame, proximity_pulses, speed_from_pulses)
+from iptsim.telemetry import (FaultSet, FrameError, MotorState, Thresholds,
+                              classify_faults, decode_frame, encode_frame)
 from iptsim.usart import (UsartConfig, UsartRx, UsartTx, actual_baud, brg_divisor,
                           frame_encode)
 
@@ -200,24 +199,6 @@ def test_c6_telemetry_suite():
             corrupted[pos] = (corrupted[pos] + int(rng.integers(1, 256))) % 256
             with pytest.raises(FrameError):
                 decode_frame(bytes(corrupted))
-
-    # Proximity pulse count equals the analytic crossing count.
-    prox = ProximityParams(4e-3, 0.5e-3, 0.005e-3, rng_seed=3)
-    fs = 2e4
-    cycles = 6
-    t = np.arange(int(cycles * fs)) / fs
-    pulses = proximity_pulses(6e-3 + 3e-3 * np.sin(2 * np.pi * t), prox)
-    rising = int(np.count_nonzero((pulses[1:] == 1) & (pulses[:-1] == 0)))
-    assert rising == cycles
-
-    # Tachometer within one quantum of ground truth.
-    teeth, window = 4, 1.0
-    for rpm_true in (450.0, 1450.0, 2875.5):
-        edge_rate = rpm_true / 60.0 * teeth
-        tt = np.arange(int(fs * window)) / fs
-        train = ((tt * edge_rate) % 1.0 < 0.5).astype(np.uint8)
-        rpm = speed_from_pulses(train, fs, teeth, window)
-        assert abs(rpm - rpm_true) <= 60.0 / (teeth * window)
 
     # Fault classifier: at most one transition under +/-0.1% oscillation.
     th = Thresholds(80.0, 3000.0, 200.0, 260.0, 180.0, 6.0,

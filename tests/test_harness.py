@@ -449,3 +449,8 @@ def test_emit_csv_nine_significant_digits():
 def test_emit_csv_rejects_unknown_record_type():
     with pytest.raises(TypeError):
         emit_csv([MaxRateResult(250, 5)])
+    # The first record's type picks the layout; a record of another type is refused by name.
+    trace, sweep = TraceRecord(0.0, "a", 1.0, "u"), SweepResult(0.05, 1000, 2, 0.002, 8, 7)
+    for records, stray in (([trace, sweep], "SweepResult"), ([sweep, trace], "TraceRecord")):
+        with pytest.raises(TypeError, match=f"^cannot mix {stray} into"):
+            emit_csv(records)

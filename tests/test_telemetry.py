@@ -7,10 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from iptsim.telemetry import (BadChecksumError, BadLengthError, BadSofError,
                               BadVersionError, FaultSet, FrameError,
-                              FrameRangeError, MotorState, ProximityParams,
-                              Thresholds, classify_faults, decode_frame,
-                              encode_frame, encode_poll, proximity_pulses,
-                              render_display, scan_frames, speed_from_pulses,
+                              FrameRangeError, MotorState, Thresholds,
+                              classify_faults, decode_frame, encode_frame,
+                              encode_poll, render_display, scan_frames,
                               MSG_FAULT_ALARM, MSG_POLL, MSG_READING)
 
 TH = Thresholds(temp_max_c=80.0, speed_max_rpm=3000.0, speed_min_rpm=200.0,
@@ -258,97 +257,6 @@ def test_classify_clears_past_band_above_lower_limit(field, bit, below, inside, 
 def test_classify_monotone_at_entry(prev_mask, temp):
     faults = classify_faults(MotorState(temp, 1450, 230, 1.5), TH, FaultSet(prev_mask))
     assert faults.mask & FaultSet.OVERTEMP
-
-
-# ---- proximity sensor and tachometer ---------------------------------------
-
-PROX = ProximityParams(sensing_range=4e-3, hysteresis=0.5e-3,
-                       repeatability_sigma=0.005e-3, rng_seed=5)
-
-
-def test_proximity_target_out_of_range():
-    assert np.all(proximity_pulses(np.full(1000, 20e-3), PROX) == 0)
-    with pytest.raises(ValueError, match="finite"):
-        proximity_pulses(np.array([20e-3, np.nan, 20e-3]), PROX)
-
-
-def _sinusoid_distance(cycles, fs=2e4):
-    t = np.arange(int(cycles * fs)) / fs
-    return 6e-3 + 3e-3 * np.sin(2 * np.pi * 1.0 * t)
-
-
-def test_proximity_pulse_count_matches_crossings():
-    cycles = 7
-    wave = _sinusoid_distance(cycles)
-    pulses = proximity_pulses(wave, PROX)
-    rising = np.count_nonzero((pulses[1:] == 1) & (pulses[:-1] == 0))
-    assert rising == cycles
-
-
-def test_proximity_noiseless_deterministic():
-    p = ProximityParams(4e-3, 0.5e-3, 0.0, rng_seed=9)
-    wave = _sinusoid_distance(3)
-    assert np.array_equal(proximity_pulses(wave, p), proximity_pulses(wave, p))
-
-
-def test_proximity_params_bounds():
-    with pytest.raises(ValueError):
-        ProximityParams(4e-3, 5e-3, 0.0)       # hysteresis beyond inductive limit
-    with pytest.raises(ValueError):
-        ProximityParams(4e-3, 0.5e-3, 1e-3)    # repeatability too loose
-
-
-@pytest.mark.parametrize("sensing_range", [math.nan, math.inf, 0.0, -4e-3])
-def test_proximity_params_refuse_bad_sensing_range(sensing_range):
-    with pytest.raises(ValueError, match="^sensing_range must be finite and positive$"):
-        ProximityParams(sensing_range, 0.5e-3, 0.0)
-
-
-def test_speed_no_edges():
-    assert speed_from_pulses(np.zeros(1000, dtype=np.uint8), 1e3, 4, 1.0) == 0.0
-
-
-def test_speed_hundred_edges():
-    pulses = np.tile(np.array([0, 1] + [0] * 8, dtype=np.uint8), 100)
-    assert speed_from_pulses(pulses, 1e3, 4, 1.0) == pytest.approx(1500.0)
-
-
-def test_speed_window_longer_than_trace_refused():
-    # A 10 s window over this 1 s trace of 1500 RPM used to read 150 RPM.
-    pulses = np.tile(np.array([0, 1] + [0] * 8, dtype=np.uint8), 100)
-    with pytest.raises(ValueError, match="window_s 10.0 spans 10000 samples"):
-        speed_from_pulses(pulses, 1e3, 4, 10.0)
-
-
-@pytest.mark.parametrize("name,value", [
-    ("sample_rate", math.nan), ("sample_rate", math.inf), ("sample_rate", -1e3),
-    ("window_s", math.nan), ("window_s", math.inf), ("window_s", -math.inf),
-    ("teeth", 2.5), ("teeth", math.nan), ("teeth", 0), ("teeth", -4),
-])
-def test_speed_refuses_bad_arguments_by_name(name, value):
-    # A NaN or infinite window used to fail deep in numpy without naming it,
-    # and teeth=2.5 turned these 100 edges into 2400 RPM.
-    pulses = np.tile(np.array([0, 1] + [0] * 8, dtype=np.uint8), 100)
-    args = {"sample_rate": 1e3, "teeth": 4, "window_s": 1.0, name: value}
-    with pytest.raises(ValueError, match=f"^{name} must be"):
-        speed_from_pulses(pulses, **args)
-
-
-def test_speed_teeth_scaling():
-    pulses = np.tile(np.array([1, 0], dtype=np.uint8), 50)
-    one = speed_from_pulses(pulses, 100.0, 1, 1.0)
-    two = speed_from_pulses(pulses, 100.0, 2, 1.0)
-    assert two == pytest.approx(one / 2)
-
-
-def test_speed_within_one_quantum():
-    fs, teeth, window = 1e4, 4, 1.0
-    for rpm_true in (300.0, 1234.5, 2999.0):
-        edge_rate = rpm_true / 60.0 * teeth
-        t = np.arange(int(fs * window)) / fs
-        pulses = ((t * edge_rate) % 1.0 < 0.5).astype(np.uint8)
-        rpm = speed_from_pulses(pulses, fs, teeth, window)
-        assert abs(rpm - rpm_true) <= 60.0 / (teeth * window)
 
 
 # ---- display ----------------------------------------------------------------
